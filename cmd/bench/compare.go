@@ -25,6 +25,18 @@ func loadRun(path string) (run, error) {
 	return r, nil
 }
 
+// cpuMismatch returns a one-line note when the baseline was recorded with
+// a different CPU count than the current run (so its time/op diffs mix
+// host and code), and "" when the counts agree or the baseline predates
+// the cpus field.
+func cpuMismatch(old, cur run) string {
+	if old.CPUs == 0 || old.CPUs == cur.CPUs {
+		return ""
+	}
+	return fmt.Sprintf("baseline %q was recorded on %d CPUs, this run on %d: time/op differences mix host and code",
+		old.Label, old.CPUs, cur.CPUs)
+}
+
 // compareRuns diffs cur against a committed baseline by benchmark name
 // and describes every tracked benchmark whose time/op grew by more than
 // threshold (0.30 = +30%). Benchmarks present on only one side are

@@ -42,3 +42,20 @@ func TestCompareRuns(t *testing.T) {
 		t.Fatalf("improvement flagged: %v", w)
 	}
 }
+
+// TestCPUMismatch pins the host note beside the -compare diff: it names
+// both CPU counts when they differ and stays silent when they agree or
+// the baseline has no count recorded.
+func TestCPUMismatch(t *testing.T) {
+	old := run{Label: "BENCH_PR10", CPUs: 1}
+	note := cpuMismatch(old, run{CPUs: 2})
+	if !strings.Contains(note, "1 CPUs") || !strings.Contains(note, "on 2") || !strings.Contains(note, `"BENCH_PR10"`) {
+		t.Fatalf("mismatch note = %q", note)
+	}
+	if note := cpuMismatch(old, run{CPUs: 1}); note != "" {
+		t.Fatalf("same CPU count noted: %q", note)
+	}
+	if note := cpuMismatch(run{}, run{CPUs: 2}); note != "" {
+		t.Fatalf("baseline without a CPU count noted: %q", note)
+	}
+}

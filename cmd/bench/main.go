@@ -1050,6 +1050,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bench: -compare:", err)
 			os.Exit(1)
 		}
+		if note := cpuMismatch(old, r); note != "" {
+			fmt.Fprintln(os.Stderr, "bench: CPU MISMATCH", note)
+		}
 		warnings := compareRuns(old, r, regressionThreshold)
 		if len(warnings) == 0 {
 			fmt.Fprintf(os.Stderr, "bench: no >%.0f%% time/op regressions vs %s (%s)\n",

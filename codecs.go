@@ -114,37 +114,31 @@ func parseBlockPayload(data []byte, lo, hi int) (Codec, BlockHeader, []byte, []b
 }
 
 // DecodeBlockRange decodes only samples [lo, hi) of a self-describing
-// block (bounds clamped to the block). The segment codecs (PMC, Swing,
-// Sim-Piece) and CAMEO evaluate just the pieces spanning the range, and
-// the bit-stream lossless codecs (gorilla, chimp, elf) seek through their
-// checkpoint sidecar and replay at most a checkpoint interval of extra
-// samples — random access straight out of the compressed form either way.
-// Checkpoint-less bit-stream blocks (written with checkpoints disabled,
-// or by older builds) replay from the block front up to hi. The values
-// are bit-identical to DecodeBlock(data)[lo:hi].
+// block (bounds clamped to the block) with one Codec.DecodeRange call:
+// the segment codecs (PMC, Swing, Sim-Piece) and CAMEO evaluate just the
+// pieces spanning the range, and the bit-stream lossless codecs (gorilla,
+// chimp, elf) seek through their checkpoint sidecar and replay at most a
+// checkpoint interval of extra samples — random access straight out of
+// the compressed form either way. Checkpoint-less bit-stream blocks
+// (written with checkpoints disabled, or by older builds) replay from the
+// block front up to hi. The values are bit-identical to
+// DecodeBlock(data)[lo:hi].
 func DecodeBlockRange(data []byte, lo, hi int) ([]float64, BlockHeader, error) {
 	c, h, sidecar, payload, lo, hi, err := parseBlockPayload(data, lo, hi)
 	if err != nil || lo >= hi {
 		return nil, h, err
 	}
-	if cd, ok := c.(codec.CheckpointDecoder); ok {
-		xs, _, err := cd.DecodeRangeCheckpointed(payload, sidecar, h.N, lo, hi, nil)
-		return xs, h, err
-	}
-	xs, err := codec.DecodeRange(c, payload, h.N, lo, hi, nil)
+	xs, _, err := c.DecodeRange(payload, sidecar, h.N, lo, hi, nil)
 	return xs, h, err
 }
 
 // DecodeBlockWindowAggs aggregates consecutive step-sample windows of
 // samples [lo, hi) of a self-describing block (bounds clamped; the last
 // window may be partial), returning one RangeAgg per window — the
-// downsampling shape of a dashboard query. For the segment codecs and
-// CAMEO the whole grid is computed in ONE pass over the compressed piece
-// stream (codec.AggDecoder.DecodeWindowAggs) with no samples
-// materialized; the bit-stream codecs fold each window in one
-// seek-assisted pass over the compressed stream, likewise without
-// materializing the range; other codecs decode the range once and fold
-// it.
+// downsampling shape of a dashboard query. One Codec.DecodeWindowAggs
+// call fills the whole grid without materializing samples: the segment
+// codecs and CAMEO in one pass over the compressed pieces, the bit-stream
+// codecs in one seek-assisted pass over the compressed stream.
 func DecodeBlockWindowAggs(data []byte, lo, hi, step int) ([]RangeAgg, BlockHeader, error) {
 	if step < 1 {
 		return nil, BlockHeader{}, fmt.Errorf("cameo: window step must be at least 1, got %d", step)
@@ -157,50 +151,25 @@ func DecodeBlockWindowAggs(data []byte, lo, hi, step int) ([]RangeAgg, BlockHead
 	for i := range aggs {
 		aggs[i] = codec.NewRangeAgg()
 	}
-	if ad, ok := c.(codec.AggDecoder); ok {
-		if err := ad.DecodeWindowAggs(payload, h.N, lo, hi, lo, step, aggs); err != nil {
-			return nil, h, err
-		}
-		return aggs, h, nil
-	}
-	if cd, ok := c.(codec.CheckpointDecoder); ok {
-		if _, err := cd.DecodeWindowAggsCheckpointed(payload, sidecar, h.N, lo, hi, lo, step, aggs); err != nil {
-			return nil, h, err
-		}
-		return aggs, h, nil
-	}
-	xs, err := codec.DecodeRange(c, payload, h.N, lo, hi, nil)
-	if err != nil {
+	if _, err := c.DecodeWindowAggs(payload, sidecar, h.N, lo, hi, lo, step, aggs); err != nil {
 		return nil, h, err
-	}
-	for i := range aggs {
-		aggs[i].Add(xs[i*step : min((i+1)*step, len(xs))])
 	}
 	return aggs, h, nil
 }
 
 // DecodeBlockAgg aggregates samples [lo, hi) of a self-describing block
-// (bounds clamped). For the segment codecs and CAMEO the result is
-// computed from the compressed piece parameters alone, and the bit-stream
-// codecs fold a single seek-assisted pass — no samples are materialized
-// either way; other codecs decode the range first.
+// (bounds clamped) as a single window of Codec.DecodeWindowAggs, so no
+// samples are materialized for any codec.
 func DecodeBlockAgg(data []byte, lo, hi int) (RangeAgg, BlockHeader, error) {
 	c, h, sidecar, payload, lo, hi, err := parseBlockPayload(data, lo, hi)
 	if err != nil {
 		return RangeAgg{}, h, err
 	}
-	if lo >= hi {
-		return codec.NewRangeAgg(), h, nil
-	}
-	if cd, ok := c.(codec.CheckpointDecoder); ok {
-		if _, isAgg := c.(codec.AggDecoder); !isAgg {
-			aggs := []RangeAgg{codec.NewRangeAgg()}
-			if _, err := cd.DecodeWindowAggsCheckpointed(payload, sidecar, h.N, lo, hi, lo, hi-lo, aggs); err != nil {
-				return RangeAgg{}, h, err
-			}
-			return aggs[0], h, nil
+	aggs := []RangeAgg{codec.NewRangeAgg()}
+	if lo < hi {
+		if _, err := c.DecodeWindowAggs(payload, sidecar, h.N, lo, hi, lo, hi-lo, aggs); err != nil {
+			return RangeAgg{}, h, err
 		}
 	}
-	agg, err := codec.DecodeRangeAgg(c, payload, h.N, lo, hi)
-	return agg, h, err
+	return aggs[0], h, nil
 }

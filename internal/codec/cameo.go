@@ -142,41 +142,36 @@ func (c *CAMEO) parse(data []byte, n int) (*series.Irregular, error) {
 // DecodeRange interpolates only the retained points spanning [lo, hi),
 // appending the reconstruction to dst — parsing stays O(points), but
 // evaluation drops from O(n) to O(hi-lo). Bit-identical to the
-// corresponding slice of Decode.
-func (c *CAMEO) DecodeRange(data []byte, n, lo, hi int, dst []float64) ([]float64, error) {
+// corresponding slice of Decode. CAMEO blocks carry no sidecar (headerless
+// legacy blocks included) and report 0 bits.
+func (c *CAMEO) DecodeRange(data, _ []byte, n, lo, hi int, dst []float64) ([]float64, int, error) {
 	if err := checkRange(n, lo, hi); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	ir, err := c.parse(data, n)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return ir.DecompressRange(lo, hi, dst), nil
-}
-
-// DecodeRangeAgg computes sum/min/max/count over [lo, hi) from the
-// retained points alone: the reconstruction is piecewise linear (constant
-// before the first and after the last point), so each piece contributes in
-// closed form and no samples are materialized.
-func (c *CAMEO) DecodeRangeAgg(data []byte, n, lo, hi int) (RangeAgg, error) {
-	return oneWindowAgg(c, data, n, lo, hi)
+	return ir.DecompressRange(lo, hi, dst), 0, nil
 }
 
 // DecodeWindowAggs folds [lo, hi) into step-sample windows in one pass
-// over the retained points; no samples are materialized.
-func (c *CAMEO) DecodeWindowAggs(data []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) error {
+// over the retained points: the reconstruction is piecewise linear
+// (constant before the first and after the last point), so each piece
+// contributes in closed form and no samples are materialized.
+func (c *CAMEO) DecodeWindowAggs(data, _ []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) (int, error) {
 	if err := checkWindows(n, lo, hi, anchor, step, aggs); err != nil {
-		return err
+		return 0, err
 	}
 	ir, err := c.parse(data, n)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	wa := newWindowAccs(lo, anchor, step, aggs)
 	pts := ir.Points
 	if len(pts) == 0 {
 		wa.addConst(lo, hi, 0) // Decompress yields zeros for an empty point set
-		return nil
+		return 0, nil
 	}
 	// Constant hold before the first retained point.
 	if head := min(hi, pts[0].Index); head > lo {
@@ -205,5 +200,5 @@ func (c *CAMEO) DecodeWindowAggs(data []byte, n, lo, hi, anchor, step int, aggs 
 	if tail := max(lo, last.Index); tail < hi {
 		wa.addConst(tail, hi, last.Value)
 	}
-	return nil
+	return 0, nil
 }

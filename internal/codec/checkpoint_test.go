@@ -74,11 +74,10 @@ func TestDecodeRangeCheckpointedMatchesFullDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cd := c.(CheckpointDecoder)
 		for _, side := range [][]byte{sidecar, nil} {
 			for _, r := range [][2]int{{0, 1000}, {0, 1}, {999, 1000}, {300, 301}, {128, 640}, {500, 500}} {
 				lo, hi := r[0], r[1]
-				got, bits, err := cd.DecodeRangeCheckpointed(payload, side, len(xs), lo, hi, nil)
+				got, bits, err := c.DecodeRange(payload, side, len(xs), lo, hi, nil)
 				if err != nil {
 					t.Fatalf("%s [%d,%d): %v", c.Name(), lo, hi, err)
 				}
@@ -109,7 +108,6 @@ func TestDecodeWindowAggsCheckpointedMatchesFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cd := c.(CheckpointDecoder)
 		for _, tc := range []struct{ lo, hi, anchor, step int }{
 			{0, 1000, 0, 100},
 			{150, 900, 100, 64},
@@ -122,7 +120,7 @@ func TestDecodeWindowAggsCheckpointedMatchesFold(t *testing.T) {
 			for i := range got {
 				got[i], want[i] = NewRangeAgg(), NewRangeAgg()
 			}
-			bits, err := cd.DecodeWindowAggsCheckpointed(payload, sidecar, len(xs), tc.lo, tc.hi, tc.anchor, tc.step, got)
+			bits, err := c.DecodeWindowAggs(payload, sidecar, len(xs), tc.lo, tc.hi, tc.anchor, tc.step, got)
 			if err != nil {
 				t.Fatalf("%s %+v: %v", c.Name(), tc, err)
 			}
@@ -166,13 +164,12 @@ func TestCheckpointedDecodeRejectsCorruptSidecar(t *testing.T) {
 		}
 		bad := append([]byte(nil), sidecar...)
 		bad[0] = 0 // interval 0 is invalid
-		cd := c.(CheckpointDecoder)
-		if _, _, err := cd.DecodeRangeCheckpointed(payload, bad, len(xs), 10, 20, nil); err == nil {
-			t.Fatalf("%s: corrupt sidecar accepted by DecodeRangeCheckpointed", c.Name())
+		if _, _, err := c.DecodeRange(payload, bad, len(xs), 10, 20, nil); err == nil {
+			t.Fatalf("%s: corrupt sidecar accepted by DecodeRange", c.Name())
 		}
 		aggs := []RangeAgg{NewRangeAgg()}
-		if _, err := cd.DecodeWindowAggsCheckpointed(payload, bad, len(xs), 10, 20, 10, 10, aggs); err == nil {
-			t.Fatalf("%s: corrupt sidecar accepted by DecodeWindowAggsCheckpointed", c.Name())
+		if _, err := c.DecodeWindowAggs(payload, bad, len(xs), 10, 20, 10, 10, aggs); err == nil {
+			t.Fatalf("%s: corrupt sidecar accepted by DecodeWindowAggs", c.Name())
 		}
 		// The full decode never consults the sidecar, so a corrupt one must
 		// not break DecodeBlock — it only guards the seek path.
@@ -213,7 +210,7 @@ func TestMergeBlocksRegeneratesSidecar(t *testing.T) {
 		if h.N != len(xs) {
 			t.Fatalf("%s: merged N = %d, want %d", c.Name(), h.N, len(xs))
 		}
-		got, bits, err := c.(CheckpointDecoder).DecodeRangeCheckpointed(payload, sidecar, h.N, 600, 700, nil)
+		got, bits, err := c.DecodeRange(payload, sidecar, h.N, 600, 700, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}

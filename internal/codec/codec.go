@@ -41,6 +41,28 @@ type Codec interface {
 	// payload (block headers store it); implementations validate that the
 	// payload actually yields n samples.
 	Decode(data []byte, n int) ([]float64, error)
+
+	// DecodeRange appends samples [lo, hi) of a block to dst (which may be
+	// nil) and returns the extended slice, bit-identical to
+	// Decode(payload, n)[lo:hi]; 0 <= lo <= hi <= n is required. sidecar
+	// is the block's checkpoint section (nil when it has none). The int is
+	// the number of compressed bits traversed: the bit-stream codecs seek
+	// to the last checkpoint at or before lo and report what they replayed
+	// (a nil sidecar replays from the front), the piecewise codecs evaluate
+	// only the pieces spanning the range, ignore the sidecar, and report 0.
+	DecodeRange(payload, sidecar []byte, n, lo, hi int, dst []float64) ([]float64, int, error)
+
+	// DecodeWindowAggs folds samples [lo, hi) of a block into consecutive
+	// step-sample windows without materializing them: window k covers the
+	// intersection of [lo, hi) with [anchor+k*step, anchor+(k+1)*step), and
+	// the window containing lo merges into aggs[0], the next into aggs[1],
+	// and so on (merges, not overwrites, so one grid can span blocks).
+	// anchor <= lo aligns the grid across blocks; aggs must hold every
+	// window touching [lo, hi). Sidecar and the returned bit count are as
+	// for DecodeRange. The piecewise codecs sum each piece in closed form,
+	// so sums can differ from a left-to-right fold in the last few ulps;
+	// counts, min, and max are exact.
+	DecodeWindowAggs(payload, sidecar []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) (int, error)
 }
 
 // Registered codec IDs. ID 0 is reserved as invalid so a zeroed header

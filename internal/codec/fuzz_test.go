@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -99,6 +100,115 @@ func FuzzCodecDecodersDirect(f *testing.F) {
 		xs, err := c.Decode(payload, int(n))
 		if err == nil && len(xs) != int(n) {
 			t.Fatalf("%s: decoded %d samples, promised %d", c.Name(), len(xs), n)
+		}
+	})
+}
+
+// FuzzBlockRange drives every codec's partial-read API — DecodeRange and
+// DecodeWindowAggs, which hostile block files reach on every cold partial
+// read — with arbitrary payloads, sidecars, sample counts, ranges and
+// window grids. No input may panic; a successful DecodeRange returns
+// exactly hi-lo samples and a successful DecodeWindowAggs counts exactly
+// hi-lo. On an unmutated seed block both must succeed and match Decode:
+// values bit-identical, per-window counts, min and max exact.
+func FuzzBlockRange(f *testing.F) {
+	xs := seedSeries()
+	type block struct {
+		id               uint8
+		payload, sidecar []byte
+	}
+	var seeds []block
+	for _, c := range []Codec{
+		NewCAMEO(testOptions()),
+		Gorilla{Interval: 8}, Gorilla{Interval: -1}, // with and without a sidecar
+		Chimp{Interval: 8}, Elf{Interval: 8},
+		PMC{}, Swing{}, SimPiece{},
+	} {
+		blk, err := EncodeBlock(c, xs)
+		if err != nil {
+			f.Fatalf("%s: %v", c.Name(), err)
+		}
+		_, sidecar, payload, err := SplitBlock(blk)
+		if err != nil {
+			f.Fatalf("%s: %v", c.Name(), err)
+		}
+		seeds = append(seeds, block{c.ID(), payload, sidecar})
+		f.Add(c.ID(), payload, sidecar, uint16(len(xs)), int32(5), int32(41), int32(3), uint16(7))
+		f.Add(c.ID(), payload, sidecar, uint16(len(xs)), int32(0), int32(len(xs)), int32(0), uint16(len(xs)))
+	}
+	f.Fuzz(func(t *testing.T, id uint8, payload, sidecar []byte, n16 uint16, lo32, hi32, anchorBack int32, step16 uint16) {
+		c, err := ByID(id)
+		if err != nil {
+			return
+		}
+		n, lo, hi, step := int(n16), int(lo32), int(hi32), int(step16)
+		anchor := lo - int(anchorBack)
+		valid := 0 <= lo && lo <= hi && hi <= n
+		unmutated := false
+		for _, s := range seeds {
+			if s.id == id && n == len(xs) && bytes.Equal(s.payload, payload) && bytes.Equal(s.sidecar, sidecar) {
+				unmutated = true
+			}
+		}
+		var full []float64
+		if unmutated {
+			if full, err = c.Decode(payload, n); err != nil {
+				t.Fatalf("%s: seed block does not decode: %v", c.Name(), err)
+			}
+		}
+
+		got, _, err := c.DecodeRange(payload, sidecar, n, lo, hi, nil)
+		switch {
+		case err == nil && (!valid || len(got) != hi-lo):
+			t.Fatalf("%s: DecodeRange(%d,%d) of %d samples returned %d values", c.Name(), lo, hi, n, len(got))
+		case unmutated && valid && err != nil:
+			t.Fatalf("%s: DecodeRange(%d,%d) of a seed block: %v", c.Name(), lo, hi, err)
+		case unmutated && valid:
+			for i, v := range got {
+				if math.Float64bits(v) != math.Float64bits(full[lo+i]) {
+					t.Fatalf("%s: DecodeRange(%d,%d)[%d] = %v, Decode has %v", c.Name(), lo, hi, i, v, full[lo+i])
+				}
+			}
+		}
+
+		// Size the accumulators for a well-formed grid; anything else gets
+		// one accumulator and must fail validation, not index past it.
+		grid := valid && step >= 1 && anchor <= lo
+		aggs := []RangeAgg{NewRangeAgg()}
+		if grid && hi > lo {
+			aggs = make([]RangeAgg, (hi-1-anchor)/step-(lo-anchor)/step+1)
+			for i := range aggs {
+				aggs[i] = NewRangeAgg()
+			}
+		}
+		_, err = c.DecodeWindowAggs(payload, sidecar, n, lo, hi, anchor, step, aggs)
+		if err != nil {
+			if unmutated && grid {
+				t.Fatalf("%s: DecodeWindowAggs(%d,%d,%d,%d) of a seed block: %v", c.Name(), lo, hi, anchor, step, err)
+			}
+			return
+		}
+		if !grid {
+			t.Fatalf("%s: DecodeWindowAggs accepted range [%d,%d) of %d, anchor %d, step %d", c.Name(), lo, hi, n, anchor, step)
+		}
+		count := 0
+		for _, a := range aggs {
+			count += a.Count
+		}
+		if count != hi-lo {
+			t.Fatalf("%s: DecodeWindowAggs(%d,%d) counted %d samples", c.Name(), lo, hi, count)
+		}
+		if !unmutated {
+			return
+		}
+		k0 := (lo - anchor) / step
+		for i, a := range aggs {
+			want := NewRangeAgg()
+			k := k0 + i
+			want.Add(full[max(lo, anchor+k*step):min(hi, anchor+(k+1)*step)])
+			if a.Count != want.Count || (a.Count > 0 && (a.Min != want.Min || a.Max != want.Max)) {
+				t.Fatalf("%s: window %d of [%d,%d) anchor %d step %d: %+v, want %+v", c.Name(), k, lo, hi, anchor, step, a, want)
+			}
 		}
 	})
 }

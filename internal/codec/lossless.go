@@ -71,8 +71,8 @@ func parseSidecar(sidecar []byte, n int) (*lossless.Checkpoints, error) {
 	return ck, nil
 }
 
-// losslessDecodeRange implements DecodeRangeCheckpointed for the XOR family:
-// seek via the sidecar, replay to lo, append [lo, hi) to dst.
+// losslessDecodeRange implements DecodeRange for the XOR family: seek via
+// the sidecar, replay to lo, append [lo, hi) to dst.
 func losslessDecodeRange(method string, payload, sidecar []byte, n, lo, hi int, dst []float64) ([]float64, int, error) {
 	if err := checkRange(n, lo, hi); err != nil {
 		return nil, 0, err
@@ -90,10 +90,10 @@ func losslessDecodeRange(method string, payload, sidecar []byte, n, lo, hi int, 
 	return dst, bits, nil
 }
 
-// losslessWindowAggs implements DecodeWindowAggsCheckpointed for the XOR
-// family: one seek-assisted pass over [lo, hi), folding each decoded sample
-// into its window accumulator (same left-to-right order as the dense
-// fallback, so results are bit-identical to materialize-then-fold).
+// losslessWindowAggs implements DecodeWindowAggs for the XOR family: one
+// seek-assisted pass over [lo, hi), folding each decoded sample into its
+// window accumulator (same left-to-right order as the dense fold, so
+// results are bit-identical to materialize-then-fold).
 func losslessWindowAggs(method string, payload, sidecar []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) (int, error) {
 	if err := checkWindows(n, lo, hi, anchor, step, aggs); err != nil {
 		return 0, err
@@ -152,14 +152,14 @@ func (g Gorilla) EncodeCheckpointed(xs []float64) ([]byte, []byte, error) {
 	return enc.Data, appendSidecar(ck), nil
 }
 
-// DecodeRangeCheckpointed decodes samples [lo, hi) via the sidecar.
-func (Gorilla) DecodeRangeCheckpointed(payload, sidecar []byte, n, lo, hi int, dst []float64) ([]float64, int, error) {
+// DecodeRange decodes samples [lo, hi) via the sidecar.
+func (Gorilla) DecodeRange(payload, sidecar []byte, n, lo, hi int, dst []float64) ([]float64, int, error) {
 	return losslessDecodeRange("gorilla", payload, sidecar, n, lo, hi, dst)
 }
 
-// DecodeWindowAggsCheckpointed folds samples [lo, hi) into step windows via
-// the sidecar.
-func (Gorilla) DecodeWindowAggsCheckpointed(payload, sidecar []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) (int, error) {
+// DecodeWindowAggs folds samples [lo, hi) into step windows via the
+// sidecar.
+func (Gorilla) DecodeWindowAggs(payload, sidecar []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) (int, error) {
 	return losslessWindowAggs("gorilla", payload, sidecar, n, lo, hi, anchor, step, aggs)
 }
 
@@ -196,14 +196,14 @@ func (c Chimp) EncodeCheckpointed(xs []float64) ([]byte, []byte, error) {
 	return enc.Data, appendSidecar(ck), nil
 }
 
-// DecodeRangeCheckpointed decodes samples [lo, hi) via the sidecar.
-func (Chimp) DecodeRangeCheckpointed(payload, sidecar []byte, n, lo, hi int, dst []float64) ([]float64, int, error) {
+// DecodeRange decodes samples [lo, hi) via the sidecar.
+func (Chimp) DecodeRange(payload, sidecar []byte, n, lo, hi int, dst []float64) ([]float64, int, error) {
 	return losslessDecodeRange("chimp", payload, sidecar, n, lo, hi, dst)
 }
 
-// DecodeWindowAggsCheckpointed folds samples [lo, hi) into step windows via
-// the sidecar.
-func (Chimp) DecodeWindowAggsCheckpointed(payload, sidecar []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) (int, error) {
+// DecodeWindowAggs folds samples [lo, hi) into step windows via the
+// sidecar.
+func (Chimp) DecodeWindowAggs(payload, sidecar []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) (int, error) {
 	return losslessWindowAggs("chimp", payload, sidecar, n, lo, hi, anchor, step, aggs)
 }
 
@@ -242,14 +242,14 @@ func (e Elf) EncodeCheckpointed(xs []float64) ([]byte, []byte, error) {
 	return enc.Data, appendSidecar(ck), nil
 }
 
-// DecodeRangeCheckpointed decodes samples [lo, hi) via the sidecar.
-func (Elf) DecodeRangeCheckpointed(payload, sidecar []byte, n, lo, hi int, dst []float64) ([]float64, int, error) {
+// DecodeRange decodes samples [lo, hi) via the sidecar.
+func (Elf) DecodeRange(payload, sidecar []byte, n, lo, hi int, dst []float64) ([]float64, int, error) {
 	return losslessDecodeRange("elf", payload, sidecar, n, lo, hi, dst)
 }
 
-// DecodeWindowAggsCheckpointed folds samples [lo, hi) into step windows via
-// the sidecar.
-func (Elf) DecodeWindowAggsCheckpointed(payload, sidecar []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) (int, error) {
+// DecodeWindowAggs folds samples [lo, hi) into step windows via the
+// sidecar.
+func (Elf) DecodeWindowAggs(payload, sidecar []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) (int, error) {
 	return losslessWindowAggs("elf", payload, sidecar, n, lo, hi, anchor, step, aggs)
 }
 

@@ -206,9 +206,10 @@ func (PMC) Decode(data []byte, n int) ([]float64, error) {
 
 // DecodeRange evaluates only the constant segments overlapping [lo, hi),
 // appending to dst. Bit-identical to the corresponding slice of Decode.
-func (PMC) DecodeRange(data []byte, n, lo, hi int, dst []float64) ([]float64, error) {
+// PMC blocks carry no sidecar and report 0 bits.
+func (PMC) DecodeRange(data, _ []byte, n, lo, hi int, dst []float64) ([]float64, int, error) {
 	if err := checkRange(n, lo, hi); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	err := decodeSegments(data, n, 1, func(start, length int, fs []float64) {
 		for t := max(lo, start); t < min(hi, start+length); t++ {
@@ -216,54 +217,32 @@ func (PMC) DecodeRange(data []byte, n, lo, hi int, dst []float64) ([]float64, er
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return dst, nil
-}
-
-// DecodeRangeAgg computes sum/min/max/count over [lo, hi) from the
-// constant segment parameters alone; no samples are materialized.
-func (c PMC) DecodeRangeAgg(data []byte, n, lo, hi int) (RangeAgg, error) {
-	return oneWindowAgg(c, data, n, lo, hi)
+	return dst, 0, nil
 }
 
 // DecodeWindowAggs folds [lo, hi) into step-sample windows in one pass
 // over the constant segments; no samples are materialized.
-func (PMC) DecodeWindowAggs(data []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) error {
+func (PMC) DecodeWindowAggs(data, _ []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) (int, error) {
 	if err := checkWindows(n, lo, hi, anchor, step, aggs); err != nil {
-		return err
+		return 0, err
 	}
 	wa := newWindowAccs(lo, anchor, step, aggs)
-	return decodeSegments(data, n, 1, func(start, length int, fs []float64) {
+	return 0, decodeSegments(data, n, 1, func(start, length int, fs []float64) {
 		if t0, t1 := max(lo, start), min(hi, start+length); t0 < t1 {
 			wa.addConst(t0, t1, fs[0])
 		}
 	})
 }
 
-// oneWindowAgg adapts a DecodeWindowAggs implementation to the
-// single-range DecodeRangeAgg shape.
-func oneWindowAgg(ad AggDecoder, data []byte, n, lo, hi int) (RangeAgg, error) {
-	if err := checkRange(n, lo, hi); err != nil {
-		return RangeAgg{}, err
-	}
-	agg := [1]RangeAgg{NewRangeAgg()}
-	if lo == hi {
-		return agg[0], nil
-	}
-	if err := ad.DecodeWindowAggs(data, n, lo, hi, lo, hi-lo, agg[:]); err != nil {
-		return RangeAgg{}, err
-	}
-	return agg[0], nil
-}
-
 // linearRange appends the overlap of [lo, hi) with each linear segment of
 // a 2-float stream (base fs[0], slope fs[1], value base + slope*(t-start))
-// — the shared range-decode of Swing and Sim-Piece, whose dense decoders
+// — the shared DecodeRange of Swing and Sim-Piece, whose dense decoders
 // evaluate exactly this expression.
-func linearRange(data []byte, n, lo, hi int, dst []float64) ([]float64, error) {
+func linearRange(data []byte, n, lo, hi int, dst []float64) ([]float64, int, error) {
 	if err := checkRange(n, lo, hi); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	err := decodeSegments(data, n, 2, func(start, length int, fs []float64) {
 		for t := max(lo, start); t < min(hi, start+length); t++ {
@@ -271,20 +250,20 @@ func linearRange(data []byte, n, lo, hi int, dst []float64) ([]float64, error) {
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return dst, nil
+	return dst, 0, nil
 }
 
 // linearWindowAggs folds [lo, hi) of a 2-float linear segment stream into
-// step-sample windows in one closed-form pass — the shared aggregate
-// pushdown of Swing and Sim-Piece.
-func linearWindowAggs(data []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) error {
+// step-sample windows in one closed-form pass — the shared
+// DecodeWindowAggs of Swing and Sim-Piece.
+func linearWindowAggs(data []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) (int, error) {
 	if err := checkWindows(n, lo, hi, anchor, step, aggs); err != nil {
-		return err
+		return 0, err
 	}
 	wa := newWindowAccs(lo, anchor, step, aggs)
-	return decodeSegments(data, n, 2, func(start, length int, fs []float64) {
+	return 0, decodeSegments(data, n, 2, func(start, length int, fs []float64) {
 		if t0, t1 := max(lo, start), min(hi, start+length); t0 < t1 {
 			wa.addLinear(t0, t1, start, fs[0], fs[1])
 		}
@@ -340,19 +319,13 @@ func (Swing) Decode(data []byte, n int) ([]float64, error) {
 
 // DecodeRange evaluates only the linear segments overlapping [lo, hi),
 // appending to dst. Bit-identical to the corresponding slice of Decode.
-func (Swing) DecodeRange(data []byte, n, lo, hi int, dst []float64) ([]float64, error) {
+func (Swing) DecodeRange(data, _ []byte, n, lo, hi int, dst []float64) ([]float64, int, error) {
 	return linearRange(data, n, lo, hi, dst)
-}
-
-// DecodeRangeAgg computes sum/min/max/count over [lo, hi) from the linear
-// segment parameters alone; no samples are materialized.
-func (c Swing) DecodeRangeAgg(data []byte, n, lo, hi int) (RangeAgg, error) {
-	return oneWindowAgg(c, data, n, lo, hi)
 }
 
 // DecodeWindowAggs folds [lo, hi) into step-sample windows in one pass
 // over the linear segments; no samples are materialized.
-func (Swing) DecodeWindowAggs(data []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) error {
+func (Swing) DecodeWindowAggs(data, _ []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) (int, error) {
 	return linearWindowAggs(data, n, lo, hi, anchor, step, aggs)
 }
 
@@ -409,18 +382,12 @@ func (SimPiece) Decode(data []byte, n int) ([]float64, error) {
 // DecodeRange evaluates only the merged linear segments overlapping
 // [lo, hi), appending to dst. Bit-identical to the corresponding slice of
 // Decode.
-func (SimPiece) DecodeRange(data []byte, n, lo, hi int, dst []float64) ([]float64, error) {
+func (SimPiece) DecodeRange(data, _ []byte, n, lo, hi int, dst []float64) ([]float64, int, error) {
 	return linearRange(data, n, lo, hi, dst)
-}
-
-// DecodeRangeAgg computes sum/min/max/count over [lo, hi) from the merged
-// linear segment parameters alone; no samples are materialized.
-func (c SimPiece) DecodeRangeAgg(data []byte, n, lo, hi int) (RangeAgg, error) {
-	return oneWindowAgg(c, data, n, lo, hi)
 }
 
 // DecodeWindowAggs folds [lo, hi) into step-sample windows in one pass
 // over the merged linear segments; no samples are materialized.
-func (SimPiece) DecodeWindowAggs(data []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) error {
+func (SimPiece) DecodeWindowAggs(data, _ []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) (int, error) {
 	return linearWindowAggs(data, n, lo, hi, anchor, step, aggs)
 }

@@ -118,6 +118,12 @@ func (c lossyNoMerge) Encode(xs []float64) ([]byte, error) { return c.inner.Enco
 func (c lossyNoMerge) Decode(data []byte, n int) ([]float64, error) {
 	return c.inner.Decode(data, n)
 }
+func (c lossyNoMerge) DecodeRange(data, sidecar []byte, n, lo, hi int, dst []float64) ([]float64, int, error) {
+	return c.inner.DecodeRange(data, sidecar, n, lo, hi, dst)
+}
+func (c lossyNoMerge) DecodeWindowAggs(data, sidecar []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) (int, error) {
+	return c.inner.DecodeWindowAggs(data, sidecar, n, lo, hi, anchor, step, aggs)
+}
 
 func TestMergeBlocksRejectsBadArgs(t *testing.T) {
 	c := Gorilla{}

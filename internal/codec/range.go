@@ -7,49 +7,17 @@ import (
 	"repro/internal/series"
 )
 
-// Random-access capabilities. The segment codecs (PMC, Swing, Sim-Piece)
-// and CAMEO's irregular line form are random-access by construction: their
-// compressed payload is a list of closed-form pieces, so any subrange of
-// the block can be evaluated without reconstructing the rest, and simple
-// aggregates (sum/min/max/count) over a range follow from the piece
-// parameters without materializing samples at all. The bit-stream lossless
-// codecs (Gorilla, Chimp, Elf) get random access a different way: their
-// encoders emit a checkpoint sidecar (bit offset + decoder state every k
-// samples, stored in the version-2 block section) that lets a partial read
-// seek to the last checkpoint before the range and replay O(overlap + k)
-// samples instead of the whole block. Those sidecar-consuming decodes use
-// the Checkpoint* interfaces below, which take the payload and sidecar
-// separately; checkpoint-less blocks fall back to a full decode, so callers
-// can use one code path for every codec and still get the partial-decode
-// win where the format allows it.
-
-// RangeDecoder is an optional Codec capability: decoding only samples
-// [lo, hi) of a block. DecodeRange and the tsdb cursor consult it.
-type RangeDecoder interface {
-	// DecodeRange appends the decoded samples [lo, hi) of a block to dst
-	// and returns the extended slice (dst may be nil). n is the block's
-	// dense sample count from its header; 0 <= lo <= hi <= n is required.
-	// The appended values must be bit-identical to Decode(data, n)[lo:hi].
-	DecodeRange(data []byte, n, lo, hi int, dst []float64) ([]float64, error)
-}
-
-// AggDecoder is an optional Codec capability: computing sum/min/max/count
-// over sample ranges directly from the compressed form, without
-// materializing any samples. DecodeRangeAgg consults it.
-type AggDecoder interface {
-	// DecodeRangeAgg aggregates samples [lo, hi) of a block. n is the
-	// block's dense sample count; 0 <= lo <= hi <= n is required.
-	DecodeRangeAgg(data []byte, n, lo, hi int) (RangeAgg, error)
-
-	// DecodeWindowAggs folds samples [lo, hi) of a block into consecutive
-	// step-sample windows, parsing the payload once — the downsampling
-	// shape: window k covers the intersection of [lo, hi) with
-	// [anchor+k*step, anchor+(k+1)*step), and the window containing lo
-	// merges into aggs[0], the next into aggs[1], and so on (merges, not
-	// overwrites, so one grid can span blocks). anchor <= lo aligns the
-	// grid across blocks; aggs must hold every window touching [lo, hi).
-	DecodeWindowAggs(data []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) error
-}
+// Random access. Every codec decodes a subrange of a block and folds
+// window aggregates without materializing the rest (Codec.DecodeRange and
+// Codec.DecodeWindowAggs). The segment codecs (PMC, Swing, Sim-Piece) and
+// CAMEO's irregular line form get this by construction: their payload is a
+// list of closed-form pieces, so any subrange is evaluated from the pieces
+// spanning it and sum/min/max/count follow from the piece parameters. The
+// bit-stream lossless codecs (Gorilla, Chimp, Elf) get it from a
+// checkpoint sidecar (bit offset + decoder state every k samples, stored in
+// the version-2 block section): a partial read seeks to the last
+// checkpoint before the range and replays O(overlap + k) samples instead
+// of the whole block.
 
 // DefaultCheckpointInterval is the checkpoint spacing (in samples) the
 // bit-stream codecs use when none is configured: every 128 samples costs
@@ -64,23 +32,6 @@ const DefaultCheckpointInterval = 128
 // layout. The payload must be byte-identical to Encode's.
 type CheckpointEncoder interface {
 	EncodeCheckpointed(xs []float64) (payload, sidecar []byte, err error)
-}
-
-// CheckpointDecoder is an optional Codec capability: serving partial reads
-// of a block by seeking through its checkpoint sidecar. Both methods accept
-// a nil sidecar (degrading to a front-to-hi replay — still cheaper than a
-// full decode) and return the number of stream bits actually traversed, the
-// observability currency behind DB.Stats.CheckpointBytes and the
-// O(overlap + k) cost tests.
-type CheckpointDecoder interface {
-	// DecodeRangeCheckpointed appends the decoded samples [lo, hi) to dst.
-	// The appended values must be bit-identical to Decode(payload, n)[lo:hi].
-	DecodeRangeCheckpointed(payload, sidecar []byte, n, lo, hi int, dst []float64) ([]float64, int, error)
-
-	// DecodeWindowAggsCheckpointed folds samples [lo, hi) into consecutive
-	// step-sample windows without materializing the block, with the same
-	// grid contract as AggDecoder.DecodeWindowAggs.
-	DecodeWindowAggsCheckpointed(payload, sidecar []byte, n, lo, hi, anchor, step int, aggs []RangeAgg) (int, error)
 }
 
 // CheckpointConfigurable is an optional Codec capability: returning a copy
@@ -210,7 +161,7 @@ func (a *RangeAgg) addLinear(v0, slope float64, k0, cnt int) {
 
 // windowAccs distributes closed-form pieces onto a step-sample window
 // grid, splitting each piece at window boundaries — the shared machinery
-// behind every DecodeWindowAggs implementation. Indices are absolute
+// behind the piecewise codecs' DecodeWindowAggs. Indices are absolute
 // (block-relative) sample positions; the grid is anchored so that window
 // k covers [anchor+k*step, anchor+(k+1)*step), and aggs[0] is the window
 // containing the fold range's lo.
@@ -274,40 +225,4 @@ func checkRange(n, lo, hi int) error {
 		return fmt.Errorf("codec: bad range [%d,%d) of a %d-sample block", lo, hi, n)
 	}
 	return nil
-}
-
-// DecodeRange decodes samples [lo, hi) of a block, appending to dst:
-// natively for codecs implementing RangeDecoder, by decode-then-slice for
-// the rest (the bit-stream lossless codecs, which cannot seek). Either way
-// the appended values are bit-identical to Decode(data, n)[lo:hi].
-func DecodeRange(c Codec, data []byte, n, lo, hi int, dst []float64) ([]float64, error) {
-	if rd, ok := c.(RangeDecoder); ok {
-		return rd.DecodeRange(data, n, lo, hi, dst)
-	}
-	if err := checkRange(n, lo, hi); err != nil {
-		return nil, err
-	}
-	xs, err := c.Decode(data, n)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, xs[lo:hi]...), nil
-}
-
-// DecodeRangeAgg aggregates samples [lo, hi) of a block: natively for
-// codecs implementing AggDecoder (no samples materialized), by range
-// decoding for the rest. The native sums are evaluated in closed form per
-// piece, so they can differ from a materialized left-to-right sum in the
-// last few ulps; min, max, and count are exact.
-func DecodeRangeAgg(c Codec, data []byte, n, lo, hi int) (RangeAgg, error) {
-	if ad, ok := c.(AggDecoder); ok {
-		return ad.DecodeRangeAgg(data, n, lo, hi)
-	}
-	xs, err := DecodeRange(c, data, n, lo, hi, nil)
-	if err != nil {
-		return RangeAgg{}, err
-	}
-	agg := NewRangeAgg()
-	agg.Add(xs)
-	return agg, nil
 }

@@ -31,9 +31,18 @@ func rangeSeries(n int) []float64 {
 	return xs
 }
 
-// TestDecodeRangeMatchesDecode pins DecodeRange — native or fallback — to
-// the corresponding slice of the full decode, bit for bit, across every
-// codec and a sweep of ranges including the empty and single-sample edges.
+// rangeAgg aggregates samples [lo, hi) of a sidecar-less payload as one
+// DecodeWindowAggs window.
+func rangeAgg(c Codec, payload []byte, n, lo, hi int) (RangeAgg, error) {
+	agg := []RangeAgg{NewRangeAgg()}
+	_, err := c.DecodeWindowAggs(payload, nil, n, lo, hi, lo, max(hi-lo, 1), agg)
+	return agg[0], err
+}
+
+// TestDecodeRangeMatchesDecode pins DecodeRange — piecewise, or a
+// bit-stream replay from the front — to the corresponding slice of the
+// full decode, bit for bit, across every codec and a sweep of ranges
+// including the empty and single-sample edges.
 func TestDecodeRangeMatchesDecode(t *testing.T) {
 	xs := rangeSeries(600)
 	n := len(xs)
@@ -50,10 +59,9 @@ func TestDecodeRangeMatchesDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decode: %v", c.Name(), err)
 		}
-		_, native := c.(RangeDecoder)
 		for _, r := range ranges {
 			lo, hi := r[0], r[1]
-			got, err := DecodeRange(c, payload, n, lo, hi, nil)
+			got, _, err := c.DecodeRange(payload, nil, n, lo, hi, nil)
 			if err != nil {
 				t.Fatalf("%s: DecodeRange(%d,%d): %v", c.Name(), lo, hi, err)
 			}
@@ -62,14 +70,14 @@ func TestDecodeRangeMatchesDecode(t *testing.T) {
 			}
 			for i, v := range got {
 				if v != full[lo+i] {
-					t.Fatalf("%s (native=%v): DecodeRange(%d,%d)[%d] = %v, Decode slice has %v",
-						c.Name(), native, lo, hi, i, v, full[lo+i])
+					t.Fatalf("%s (lossy=%v): DecodeRange(%d,%d)[%d] = %v, Decode slice has %v",
+						c.Name(), c.Lossy(), lo, hi, i, v, full[lo+i])
 				}
 			}
 		}
 		// dst append semantics: existing contents stay in place.
 		dst := []float64{-1, -2}
-		got, err := DecodeRange(c, payload, n, 5, 10, dst)
+		got, _, err := c.DecodeRange(payload, nil, n, 5, 10, dst)
 		if err != nil {
 			t.Fatalf("%s: DecodeRange with dst: %v", c.Name(), err)
 		}
@@ -79,26 +87,49 @@ func TestDecodeRangeMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestSegmentCodecsAreRangeDecoders pins the capability set: the segment
-// codecs and CAMEO decode ranges and aggregates natively from the payload
-// alone (RangeDecoder/AggDecoder); the bit-stream lossless codecs cannot —
-// their payload cannot seek — but serve partial reads through the
-// checkpoint-sidecar interfaces instead.
+// TestSegmentCodecsAreRangeDecoders pins the premise of the store's one
+// read-path policy, "a lossless block without a sidecar is decoded whole
+// and cached": the lossy codecs are exactly the piecewise ones, which
+// never write a sidecar and range-decode from the payload alone (0 bits
+// traversed), while the lossless codecs are exactly the bit-stream ones,
+// which cannot seek without a sidecar, write one by default, drop it when
+// checkpoints are disabled, and report the bits they replay.
 func TestSegmentCodecsAreRangeDecoders(t *testing.T) {
+	xs := rangeSeries(600)
 	for _, c := range rangeCodecs() {
-		_, rd := c.(RangeDecoder)
-		_, ad := c.(AggDecoder)
 		_, ce := c.(CheckpointEncoder)
-		_, cd := c.(CheckpointDecoder)
 		_, cc := c.(CheckpointConfigurable)
-		wantNative := c.Lossy() // exactly the segment/line codecs here
-		if rd != wantNative || ad != wantNative {
-			t.Errorf("%s: RangeDecoder=%v AggDecoder=%v, want both %v", c.Name(), rd, ad, wantNative)
-		}
 		wantCkpt := !c.Lossy() // exactly the bit-stream codecs here
-		if ce != wantCkpt || cd != wantCkpt || cc != wantCkpt {
-			t.Errorf("%s: CheckpointEncoder=%v CheckpointDecoder=%v CheckpointConfigurable=%v, want all %v",
-				c.Name(), ce, cd, cc, wantCkpt)
+		if ce != wantCkpt || cc != wantCkpt {
+			t.Errorf("%s: CheckpointEncoder=%v CheckpointConfigurable=%v, want both %v",
+				c.Name(), ce, cc, wantCkpt)
+		}
+		blk, err := EncodeBlock(c, xs)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name(), err)
+		}
+		_, sidecar, payload, err := SplitBlock(blk)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name(), err)
+		}
+		if (len(sidecar) > 0) != wantCkpt {
+			t.Errorf("%s: default block carries %d sidecar bytes, want sidecar=%v", c.Name(), len(sidecar), wantCkpt)
+		}
+		_, bits, err := c.DecodeRange(payload, sidecar, len(xs), 300, 301, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name(), err)
+		}
+		if (bits > 0) != wantCkpt {
+			t.Errorf("%s: DecodeRange traversed %d bits, want bits>0 = %v", c.Name(), bits, wantCkpt)
+		}
+		if wantCkpt {
+			plain, err := EncodeBlock(ConfigureCheckpointInterval(c, -1), xs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, sc, _, err := SplitBlock(plain); err != nil || len(sc) != 0 {
+				t.Errorf("%s: checkpoints disabled still wrote %d sidecar bytes (err %v)", c.Name(), len(sc), err)
+			}
 		}
 	}
 }
@@ -122,9 +153,9 @@ func TestDecodeRangeAgg(t *testing.T) {
 		}
 		for _, r := range ranges {
 			lo, hi := r[0], r[1]
-			got, err := DecodeRangeAgg(c, payload, n, lo, hi)
+			got, err := rangeAgg(c, payload, n, lo, hi)
 			if err != nil {
-				t.Fatalf("%s: DecodeRangeAgg(%d,%d): %v", c.Name(), lo, hi, err)
+				t.Fatalf("%s: one-window DecodeWindowAggs(%d,%d): %v", c.Name(), lo, hi, err)
 			}
 			want := NewRangeAgg()
 			want.Add(full[lo:hi])
@@ -145,10 +176,10 @@ func TestDecodeRangeAgg(t *testing.T) {
 	}
 }
 
-// TestDecodeWindowAggs pins the one-pass windowed pushdown against the
-// per-window DecodeRangeAgg on every native AggDecoder, across aligned
-// and unaligned grids (anchors before the fold range, partial first and
-// last windows) — the access pattern QueryAgg issues per block.
+// TestDecodeWindowAggs pins the one-pass windowed pushdown against
+// aggregating each window separately, on every codec, across aligned and
+// unaligned grids (anchors before the fold range, partial first and last
+// windows) — the access pattern QueryAgg issues per block.
 func TestDecodeWindowAggs(t *testing.T) {
 	xs := rangeSeries(600)
 	n := len(xs)
@@ -161,10 +192,6 @@ func TestDecodeWindowAggs(t *testing.T) {
 		{37, 41, 0, 100},    // range inside one window
 	}
 	for _, c := range rangeCodecs() {
-		ad, ok := c.(AggDecoder)
-		if !ok {
-			continue
-		}
 		payload, err := c.Encode(xs)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", c.Name(), err)
@@ -176,14 +203,14 @@ func TestDecodeWindowAggs(t *testing.T) {
 			for i := range aggs {
 				aggs[i] = NewRangeAgg()
 			}
-			if err := ad.DecodeWindowAggs(payload, n, tc.lo, tc.hi, tc.anchor, tc.step, aggs); err != nil {
+			if _, err := c.DecodeWindowAggs(payload, nil, n, tc.lo, tc.hi, tc.anchor, tc.step, aggs); err != nil {
 				t.Fatalf("%s: DecodeWindowAggs(%+v): %v", c.Name(), tc, err)
 			}
 			for i := range aggs {
 				k := k0 + i
 				wlo := max(tc.lo, tc.anchor+k*tc.step)
 				whi := min(tc.hi, tc.anchor+(k+1)*tc.step)
-				want, err := ad.DecodeRangeAgg(payload, n, wlo, whi)
+				want, err := rangeAgg(c, payload, n, wlo, whi)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -198,13 +225,13 @@ func TestDecodeWindowAggs(t *testing.T) {
 		}
 		// Validation: short accumulator slices and bad grids are rejected.
 		one := []RangeAgg{NewRangeAgg()}
-		if err := ad.DecodeWindowAggs(payload, n, 0, n, 0, 50, one); err == nil {
+		if _, err := c.DecodeWindowAggs(payload, nil, n, 0, n, 0, 50, one); err == nil {
 			t.Errorf("%s: accepted too few window accumulators", c.Name())
 		}
-		if err := ad.DecodeWindowAggs(payload, n, 10, 20, 15, 5, one); err == nil {
+		if _, err := c.DecodeWindowAggs(payload, nil, n, 10, 20, 15, 5, one); err == nil {
 			t.Errorf("%s: accepted an anchor beyond the range start", c.Name())
 		}
-		if err := ad.DecodeWindowAggs(payload, n, 0, 10, 0, 0, one); err == nil {
+		if _, err := c.DecodeWindowAggs(payload, nil, n, 0, 10, 0, 0, one); err == nil {
 			t.Errorf("%s: accepted step 0", c.Name())
 		}
 	}
@@ -219,11 +246,11 @@ func TestDecodeRangeBadBounds(t *testing.T) {
 			t.Fatalf("%s: encode: %v", c.Name(), err)
 		}
 		for _, r := range [][2]int{{-1, 10}, {5, 4}, {0, 101}, {101, 101}} {
-			if _, err := DecodeRange(c, payload, len(xs), r[0], r[1], nil); err == nil {
+			if _, _, err := c.DecodeRange(payload, nil, len(xs), r[0], r[1], nil); err == nil {
 				t.Errorf("%s: DecodeRange(%d,%d) accepted bad bounds", c.Name(), r[0], r[1])
 			}
-			if _, err := DecodeRangeAgg(c, payload, len(xs), r[0], r[1]); err == nil {
-				t.Errorf("%s: DecodeRangeAgg(%d,%d) accepted bad bounds", c.Name(), r[0], r[1])
+			if _, err := rangeAgg(c, payload, len(xs), r[0], r[1]); err == nil {
+				t.Errorf("%s: one-window DecodeWindowAggs(%d,%d) accepted bad bounds", c.Name(), r[0], r[1])
 			}
 		}
 	}
@@ -272,7 +299,7 @@ func TestCAMEODecodeRangeConstantAndSparse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range [][2]int{{0, 3}, {197, 200}, {0, 200}, {50, 150}} {
-		got, err := c.DecodeRange(payload, len(xs), r[0], r[1], nil)
+		got, _, err := c.DecodeRange(payload, nil, len(xs), r[0], r[1], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +308,7 @@ func TestCAMEODecodeRangeConstantAndSparse(t *testing.T) {
 				t.Fatalf("range (%d,%d)[%d] = %v, want %v", r[0], r[1], i, v, full[r[0]+i])
 			}
 		}
-		agg, err := c.DecodeRangeAgg(payload, len(xs), r[0], r[1])
+		agg, err := rangeAgg(c, payload, len(xs), r[0], r[1])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 // the block level: a block compressed through the stream session, in any
 // advance quantum, serializes to exactly the bytes EncodeBlockRecon
 // produces, with the same header offset and reconstruction — so every
-// existing reader (cursor, RangeDecoder, QueryAgg) decodes streamed blocks
+// existing reader (cursor, DecodeRange, QueryAgg) decodes streamed blocks
 // unchanged.
 func TestCAMEOStreamByteIdentical(t *testing.T) {
 	c := NewCAMEO(core.Options{Lags: 24, Epsilon: 0.05})

@@ -291,16 +291,16 @@ func (db *DB) segmentRange(snap *rangeSnapshot, s cursorSeg, lo, hi int, buf *[]
 // readReplacedBlock reads a block file that compaction republished before
 // the index swap became visible: the file at the old meta's path is a
 // valid merged block starting at the same sample index, bit-identical to
-// the old blocks over their span. The result is decoded fresh and not
-// cached (the replacement's cache generation is unknown here; the next
-// index-resolved read caches it).
+// the old blocks over their span. The overlap is range-decoded fresh and
+// not cached (the replacement's cache generation is unknown here; the
+// next index-resolved read caches it).
 func (db *DB) readReplacedBlock(old blockMeta, lo, hi int) ([]float64, error) {
 	data, release, err := db.readFilePooled(old.path)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	hdr, _, payload, err := codec.SplitBlock(data)
+	hdr, sidecar, payload, err := codec.SplitBlock(data)
 	if err != nil {
 		return nil, err
 	}
@@ -311,11 +311,8 @@ func (db *DB) readReplacedBlock(old blockMeta, lo, hi int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	dense, err := c.Decode(payload, hdr.N)
-	if err != nil {
-		return nil, err
-	}
-	return dense[lo-old.start : hi-old.start], nil
+	out, _, err := c.DecodeRange(payload, sidecar, hdr.N, lo-old.start, hi-old.start, nil)
+	return out, err
 }
 
 // pendingDense waits for one in-flight block and returns its
@@ -345,16 +342,26 @@ func (db *DB) pendingDense(snap *rangeSnapshot, s cursorSeg) ([]float64, error) 
 	return nil, fmt.Errorf("tsdb: block at %d: %w", s.meta.start, s.pending.err)
 }
 
+// replaysFromFront reports whether a cold partial read of a block must
+// decode the whole block (and cache it) instead of range-decoding it: a
+// bit-stream block without a checkpoint sidecar (checkpoints disabled, or
+// written by an older build) cannot seek, so every partial read would
+// replay it from the front. The lossy codecs are exactly the piecewise
+// ones, which need no sidecar (pinned by TestSegmentCodecsAreRangeDecoders
+// in internal/codec).
+func replaysFromFront(c codec.Codec, sidecar []byte) bool {
+	return !c.Lossy() && len(sidecar) == 0
+}
+
 // blockRange returns samples [lo, hi) (block-relative) of a durable block.
 // Cache-resident blocks are served as sub-slices without copying. A cold
-// block whose overlap is partial and whose codec decodes ranges natively
-// is range-decoded into the caller's pooled buffer and deliberately NOT
-// cached (a partial reconstruction must never stand in for the block).
-// Bit-stream blocks carrying a checkpoint sidecar take the analogous
-// checkpointed path: seek to the last checkpoint at or below lo, replay
-// at most CheckpointInterval extra samples, and decode only the overlap.
-// Everything else — full overlaps, and sidecar-less bit-stream blocks —
-// takes the full decode-and-cache path.
+// block whose overlap is partial is range-decoded by one DecodeRange call
+// into the caller's pooled buffer and deliberately NOT cached (a partial
+// reconstruction must never stand in for the block): piecewise codecs
+// evaluate only the overlapping pieces, bit-stream blocks seek to the last
+// checkpoint at or below lo and replay at most CheckpointInterval extra
+// samples. Full overlaps and blocks that replay from the front take the
+// decode-and-cache path.
 func (db *DB) blockRange(snap *rangeSnapshot, meta blockMeta, lo, hi int, buf *[]float64) ([]float64, error) {
 	sh := snap.sh
 	if hi-lo < meta.n {
@@ -365,41 +372,22 @@ func (db *DB) blockRange(snap *rangeSnapshot, meta blockMeta, lo, hi int, buf *[
 		if err != nil {
 			return nil, fmt.Errorf("tsdb: block %s: %w", meta.path, err)
 		}
-		rd, native := c.(codec.RangeDecoder)
-		cd, ckpt := c.(codec.CheckpointDecoder)
-		if native || ckpt {
-			payload, sidecar, release, err := db.openBlockPayload(meta)
-			if err != nil {
-				return nil, err
-			}
-			defer release()
+		payload, sidecar, release, err := db.openBlockPayload(meta)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		if !replaysFromFront(c, sidecar) {
 			if *buf == nil {
 				*buf = db.getBlockBuf()
 			}
 			snap.cold.Store(true)
 			start := time.Now()
-			var out []float64
-			switch {
-			case native:
-				out, err = rd.DecodeRange(payload, meta.n, lo, hi, (*buf)[:0])
-			case len(sidecar) > 0:
-				var bits int
-				out, bits, err = cd.DecodeRangeCheckpointed(payload, sidecar, meta.n, lo, hi, (*buf)[:0])
-				if err == nil {
-					db.noteCheckpointSeek(bits)
-				}
-			default:
-				// A version-1 block without a sidecar: a partial decode would
-				// replay from the front every time, so decode once and cache.
-				dense, err := db.readBlock(sh.cache, meta, &snap.cold)
-				if err != nil {
-					return nil, err
-				}
-				return dense[lo:hi], nil
-			}
+			out, bits, err := c.DecodeRange(payload, sidecar, meta.n, lo, hi, (*buf)[:0])
 			if err != nil {
 				return nil, fmt.Errorf("tsdb: block %s: %w", meta.path, err)
 			}
+			db.noteCheckpointSeek(bits)
 			db.observeDecode(meta.codecID, start)
 			*buf = out
 			db.rangeDecodes.Add(1)
@@ -442,14 +430,12 @@ func (db *DB) QueryInto(name string, from, to int, dst []float64) ([]float64, er
 // QueryAgg answers a downsampled aggregate query: samples [from, to) are
 // cut into consecutive windows of step samples (the last window may be
 // partial) and f is evaluated over each, yielding one value per window —
-// the shape a dashboard asks for. For cold durable blocks whose codec
-// implements codec.AggDecoder (the segment codecs and CAMEO), the
-// aggregates are computed straight from the compressed segment forms
-// without materializing any samples; cold bit-stream blocks with a
-// checkpoint sidecar (codec.CheckpointDecoder) likewise fold their
-// windows in one seek-assisted pass over the compressed stream. Other
-// blocks — cache-resident, in-flight, or sidecar-less bit-stream — fall
-// back to the cursor's chunk resolution and are folded densely.
+// the shape a dashboard asks for. Cold durable blocks fold their windows
+// with one Codec.DecodeWindowAggs call each, without materializing any
+// samples: the segment codecs and CAMEO from their closed-form pieces,
+// bit-stream blocks in one seek-assisted pass over the compressed stream.
+// Other blocks — cache-resident, in-flight, or sidecar-less bit-stream —
+// fall back to the cursor's chunk resolution and are folded densely.
 func (db *DB) QueryAgg(name string, from, to, step int, f AggFunc) ([]float64, error) {
 	if err := validateAgg(step, f); err != nil {
 		return nil, err
@@ -539,14 +525,12 @@ func (db *DB) windowAggs(name string, from, to, step int) (accs []codec.RangeAgg
 
 // aggPushdown folds the window aggregates of one durable block's overlap
 // [lo, hi) straight from the compressed payload — one DecodeWindowAggs
-// call parses the piece stream once and fills every touched window, so no
-// samples are materialized. Bit-stream blocks carrying a checkpoint
-// sidecar aggregate through the checkpointed decoder instead: seek to the
-// last checkpoint before lo, then fold each decoded sample into its
-// window without materializing the range. It declines (false, nil) when
-// the block's reconstruction is already cached — folding the resident
-// samples is cheaper than re-parsing the payload — or when the codec can
-// neither aggregate natively nor seek.
+// call fills every touched window without materializing samples (a
+// single pass over the pieces, or a checkpoint seek plus one pass over
+// the bit stream). It declines (false, nil) when the block's
+// reconstruction is already cached — folding the resident samples is
+// cheaper than re-parsing the payload — or when the block replays from
+// the front, so the dense path decodes and caches it once.
 func (db *DB) aggPushdown(snap *rangeSnapshot, meta blockMeta, from, step, lo, hi int, accs []codec.RangeAgg) (bool, error) {
 	if snap.sh.cache.contains(meta.key()) {
 		return false, nil
@@ -554,11 +538,6 @@ func (db *DB) aggPushdown(snap *rangeSnapshot, meta blockMeta, from, step, lo, h
 	c, err := db.codecFor(meta)
 	if err != nil {
 		return false, fmt.Errorf("tsdb: block %s: %w", meta.path, err)
-	}
-	ad, native := c.(codec.AggDecoder)
-	cd, ckpt := c.(codec.CheckpointDecoder)
-	if !native && !ckpt {
-		return false, nil
 	}
 	payload, sidecar, release, err := db.openBlockPayload(meta)
 	if err != nil {
@@ -570,30 +549,20 @@ func (db *DB) aggPushdown(snap *rangeSnapshot, meta blockMeta, from, step, lo, h
 		return false, err
 	}
 	defer release()
+	if replaysFromFront(c, sidecar) {
+		return false, nil
+	}
 	// The engine's window grid is anchored at the query's from; shift it
 	// into the block's coordinate space along with the overlap bounds.
 	w0 := (lo - from) / step
 	wEnd := (hi - 1 - from) / step
 	start := time.Now()
-	switch {
-	case native:
-		err = ad.DecodeWindowAggs(payload, meta.n,
-			lo-meta.start, hi-meta.start, from-meta.start, step, accs[w0:wEnd+1])
-	case len(sidecar) > 0:
-		var bits int
-		bits, err = cd.DecodeWindowAggsCheckpointed(payload, sidecar, meta.n,
-			lo-meta.start, hi-meta.start, from-meta.start, step, accs[w0:wEnd+1])
-		if err == nil {
-			db.noteCheckpointSeek(bits)
-		}
-	default:
-		// Sidecar-less version-1 bit-stream block: replaying it from the
-		// front per QueryAgg would repeat work the dense path caches.
-		return false, nil
-	}
+	bits, err := c.DecodeWindowAggs(payload, sidecar, meta.n,
+		lo-meta.start, hi-meta.start, from-meta.start, step, accs[w0:wEnd+1])
 	if err != nil {
 		return false, fmt.Errorf("tsdb: block %s: %w", meta.path, err)
 	}
+	db.noteCheckpointSeek(bits)
 	snap.cold.Store(true)
 	db.observeDecode(meta.codecID, start)
 	db.aggPushdowns.Add(1)

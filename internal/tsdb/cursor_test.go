@@ -312,18 +312,14 @@ func (c *countingCodec) Decode(data []byte, n int) ([]float64, error) {
 	c.fullDecodes.Add(1)
 	return c.inner.Decode(data, n)
 }
-func (c *countingCodec) DecodeRange(data []byte, n, lo, hi int, dst []float64) ([]float64, error) {
+func (c *countingCodec) DecodeRange(data, sidecar []byte, n, lo, hi int, dst []float64) ([]float64, int, error) {
 	c.rangeCalls.Add(1)
 	c.rangeSamples.Add(int64(hi - lo))
-	return c.inner.(codec.RangeDecoder).DecodeRange(data, n, lo, hi, dst)
+	return c.inner.DecodeRange(data, sidecar, n, lo, hi, dst)
 }
-func (c *countingCodec) DecodeRangeAgg(data []byte, n, lo, hi int) (codec.RangeAgg, error) {
+func (c *countingCodec) DecodeWindowAggs(data, sidecar []byte, n, lo, hi, anchor, step int, aggs []codec.RangeAgg) (int, error) {
 	c.aggCalls.Add(1)
-	return c.inner.(codec.AggDecoder).DecodeRangeAgg(data, n, lo, hi)
-}
-func (c *countingCodec) DecodeWindowAggs(data []byte, n, lo, hi, anchor, step int, aggs []codec.RangeAgg) error {
-	c.aggCalls.Add(1)
-	return c.inner.(codec.AggDecoder).DecodeWindowAggs(data, n, lo, hi, anchor, step, aggs)
+	return c.inner.DecodeWindowAggs(data, sidecar, n, lo, hi, anchor, step, aggs)
 }
 
 // TestColdRangeQueryDecodesOnlyOverlap proves the pushdown acceptance
@@ -391,7 +387,7 @@ func TestColdRangeQueryDecodesOnlyOverlap(t *testing.T) {
 
 // TestQueryAggPushdownNeverMaterializes proves the aggregate acceptance
 // criterion: over a cold PMC/Swing/SimPiece/CAMEO store, QueryAgg answers
-// fully-covered blocks through DecodeRangeAgg alone — zero Decode and zero
+// fully-covered blocks through DecodeWindowAggs alone — zero Decode and zero
 // DecodeRange calls — and the window values match folding the materialized
 // Query output.
 func TestQueryAggPushdownNeverMaterializes(t *testing.T) {
@@ -471,11 +467,11 @@ func TestQueryAggPushdownNeverMaterializes(t *testing.T) {
 
 // TestQueryAggWindowsAndFallback checks window boundary semantics (partial
 // last window, step beyond the range, ranges starting mid-window source)
-// and the dense fallback paths: a bit-stream codec (no AggDecoder), warm
-// cache, and the in-memory tail.
+// and the dense fallback paths: a bit-stream codec, warm cache, and the
+// in-memory tail.
 func TestQueryAggWindowsAndFallback(t *testing.T) {
 	opt := dbOptions()
-	opt.Codec = codec.Gorilla{} // no native aggregates: everything folds densely
+	opt.Codec = codec.Gorilla{}
 	db, err := Open(t.TempDir(), opt)
 	if err != nil {
 		t.Fatal(err)

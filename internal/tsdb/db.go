@@ -1108,8 +1108,12 @@ func (db *DB) observeDecode(codecID uint8, start time.Time) {
 
 // noteCheckpointSeek accounts one checkpoint-assisted cold read that
 // traversed bits compressed bits: the running totals (CheckpointSeeks,
-// CheckpointBytes) plus the per-seek byte distribution.
+// CheckpointBytes) plus the per-seek byte distribution. Piecewise decodes
+// traverse no bit stream, report 0 bits, and are not seeks.
 func (db *DB) noteCheckpointSeek(bits int) {
+	if bits <= 0 {
+		return
+	}
 	b := uint64(bits+7) / 8
 	db.checkpointSeeks.Add(1)
 	db.checkpointBytes.Add(b)

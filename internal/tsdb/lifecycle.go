@@ -16,8 +16,8 @@ package tsdb
 //
 //  2. rollup materialization — for each configured RollupSpec, the window
 //     aggregates of every raw series' newly completed windows are computed
-//     through the QueryAgg machinery (codec.DecodeWindowAggs pushdown — no
-//     raw samples are materialized for pushdown-capable codecs) and
+//     through the QueryAgg machinery (Codec.DecodeWindowAggs pushdown — no
+//     raw samples are materialized for cold blocks) and
 //     appended to ordinary series named "<series>@<agg>:<step>". Progress
 //     is tracked by the rollup series' own lengths, so materialization is
 //     idempotent across crashes and restarts.
