@@ -19,6 +19,12 @@ import "math"
 // The reconstruction of a line-simplified series always keeps its original
 // length n — removing a point changes interior *values* via interpolation,
 // never the length — so N is fixed for the lifetime of the struct.
+//
+// A dense hypothetical evaluation of an interior change runs in two stages:
+// DeltaSums accumulates the change's aggregate deltas in O(L*m), EvalSums
+// evaluates Eq. 2 against the live aggregates in O(L). The delta sums do
+// not depend on the aggregates, so a caller that knows the values around a
+// change are unchanged may keep them and repeat only the second stage.
 type Aggregates struct {
 	N int // series length (fixed)
 	L int // largest maintained lag
@@ -342,18 +348,21 @@ func (a *Aggregates) Apply(cur []float64, start int, deltas []float64) {
 }
 
 // Scratch holds reusable buffers for hypothetical (non-mutating) ACF
-// evaluation. A Scratch must not be shared between goroutines; allocate one
+// evaluation: the output ACF, the MAE base and deviation, and the delta
+// sums a dense HypotheticalACF computes on the way (the layout DeltaSums
+// writes). A Scratch must not be shared between goroutines; allocate one
 // per worker.
 type Scratch struct {
 	acf     []float64
 	base    []float64 // MAE reference vector (zeros unless SetBase is called)
 	dev     float64   // sum |acf_i - base_i| of the last HypotheticalACF
+	sums    []float64 // delta sums of the last dense evaluation
 	wdeltas []float64 // window-delta buffer (WindowTracker only)
 }
 
 // NewScratch allocates scratch buffers for a tracker with p lag positions.
 func NewScratch(p int) *Scratch {
-	return &Scratch{acf: make([]float64, p), base: make([]float64, p)}
+	return &Scratch{acf: make([]float64, p), base: make([]float64, p), sums: make([]float64, p+2)}
 }
 
 // SetBase installs the reference vector the kernel accumulates the MAE
@@ -367,242 +376,200 @@ func (sc *Scratch) SetBase(base []float64) { sc.base = base }
 // DevSum returns sum_i |acf_i - base_i| of the last HypotheticalACF call.
 func (sc *Scratch) DevSum() float64 { return sc.dev }
 
+// Interior reports whether a change of m values at start is a dense
+// interior change: the aggregates are dense and every maintained lag keeps
+// the changed block at least a lag away from both series ends. Such a
+// change is evaluated in two stages, DeltaSums then EvalSums, and its
+// delta sums depend only on the values within L of the block, not on the
+// aggregates — which is what lets a caller memoize them.
+func (a *Aggregates) Interior(start, m int) bool {
+	return a.lags == nil && min(start, a.N-start-m) >= len(a.sx)
+}
+
+// DeltaSums is the delta stage of a dense interior evaluation, O(P*m): it
+// writes the aggregate deltas of changing cur[start:start+len(deltas)] by
+// deltas into sums (length Positions()+2): sums[0] = ds, the delta of every
+// head and tail sum; sums[1] = dsq2, the delta of every head and tail sum
+// of squares; sums[2+i] = dsxx of lag i+1, the cross-product delta. The
+// change must satisfy Interior. cur holds the values before the change.
+func (a *Aggregates) DeltaSums(cur []float64, start int, deltas, sums []float64) {
+	sums[0], sums[1] = gapSums(cur, start, deltas)
+	crossSums(cur, start, deltas, sums[2:2+len(a.sx)])
+}
+
+// EvalSums is the evaluation stage, O(P): the ACF after adding the delta
+// sums of DeltaSums to the live aggregates, with the MAE deviation against
+// the scratch base (DevSum). The returned slice aliases sc's buffers.
+// DeltaSums followed by EvalSums is bit-identical to HypotheticalACF.
+func (a *Aggregates) EvalSums(sums []float64, sc *Scratch) []float64 {
+	sc.dev = a.evalSums(sums[:2+len(a.sx)], sc)
+	return sc.acf
+}
+
+// gapSums returns the interior-path head/tail deltas of a change: on that
+// path every delta is both a head and a tail member, so the dsx/dsxl and
+// dsx2/dsx2l accumulators receive the same addend sequence for every lag.
+func gapSums(cur []float64, start int, deltas []float64) (ds, dsq2 float64) {
+	for j, d := range deltas {
+		x := cur[start+j]
+		ds += d
+		dsq2 += d * (2*x + d) // (x+d)^2 - x^2
+	}
+	return ds, dsq2
+}
+
+// crossSums writes the interior-path cross-product delta of lag i+1 into
+// dsxx[i]: the addends of lagDeltas's interior branch in the same order, so
+// the sums are bit-identical to it. Each sum is a serial float-add chain,
+// so lags run pairwise through a shared j-loop — two independent chains,
+// each lag's addend sequence untouched.
+func crossSums(cur []float64, start int, deltas, dsxx []float64) {
+	m := len(deltas)
+	if m == 1 {
+		// Single-point gap: the cross products collapse to two loads
+		// walking outward from the changed point.
+		d := deltas[0]
+		for i := range dsxx {
+			l := i + 1
+			dsxx[i] = d*cur[start-l] + d*cur[start+l]
+		}
+		return
+	}
+	i := 0
+	for ; i+1 < len(dsxx); i += 2 {
+		la := i + 1
+		lb := i + 2
+		var dsxxA, dsxxB float64
+		p1a := max(m-la, 0)
+		p1b := max(m-lb, 0) // p1b <= p1a
+		// Shifted views: cmX[j] = cur[start+j-lX], cpX[j] =
+		// cur[start+j+lX]; in range by the interior condition.
+		cmA := cur[start-la : start-la+m]
+		cpA := cur[start+la : start+la+m]
+		cmB := cur[start-lb : start-lb+m]
+		cpB := cur[start+lb : start+lb+m]
+		for j := 0; j < p1b; j++ {
+			d := deltas[j]
+			dsxxA += d * cmA[j]
+			dsxxA += d * cpA[j]
+			dsxxA += d * deltas[j+la]
+			dsxxB += d * cmB[j]
+			dsxxB += d * cpB[j]
+			dsxxB += d * deltas[j+lb]
+		}
+		for j := p1b; j < p1a; j++ { // at most one iteration
+			d := deltas[j]
+			dsxxA += d * cmA[j]
+			dsxxA += d * cpA[j]
+			dsxxA += d * deltas[j+la]
+			dsxxB += d * cmB[j]
+			dsxxB += d * cpB[j]
+		}
+		for j := p1a; j < m; j++ {
+			d := deltas[j]
+			dsxxA += d * cmA[j]
+			dsxxA += d * cpA[j]
+			dsxxB += d * cmB[j]
+			dsxxB += d * cpB[j]
+		}
+		dsxx[i], dsxx[i+1] = dsxxA, dsxxB
+	}
+	if i < len(dsxx) {
+		l := i + 1
+		var s float64
+		p1 := max(m-l, 0)
+		for j := 0; j < p1; j++ {
+			d := deltas[j]
+			k := start + j
+			s += d * cur[k-l]
+			s += d * cur[k+l]
+			s += d * deltas[j+l]
+		}
+		for j := p1; j < m; j++ {
+			d := deltas[j]
+			k := start + j
+			s += d * cur[k-l]
+			s += d * cur[k+l]
+		}
+		dsxx[i] = s
+	}
+}
+
+// evalSums evaluates the Eq. 2 correlation of dense positions
+// [0, len(sums)-2) against the live aggregates plus the delta sums, into
+// sc.acf, and returns sum_i |acf_i - base_i| over those positions. The body
+// of corrFromAggregates is replicated because a call per lag per candidate
+// would dominate; keep the arithmetic in sync with acf.go.
+func (a *Aggregates) evalSums(sums []float64, sc *Scratch) float64 {
+	ds, dsq2 := sums[0], sums[1]
+	dsxx := sums[2:]
+	k := len(dsxx)
+	acfv := sc.acf[:k]
+	sxv := a.sx[:k]
+	sxlv := a.sxl[:k]
+	sxxv := a.sxx[:k]
+	sx2v := a.sx2[:k]
+	sx2lv := a.sx2l[:k]
+	bv := sc.base[:k]
+	nf := float64(a.N)
+	var dev float64
+	for i, dxx := range dsxx {
+		mf := nf - float64(i+1)
+		sx := sxv[i] + ds
+		sxl := sxlv[i] + ds
+		sxx := sxxv[i] + dxx
+		sx2 := sx2v[i] + dsq2
+		sx2l := sx2lv[i] + dsq2
+		num := mf*sxx - sx*sxl
+		pa := mf * sx2
+		qa := sx * sx
+		va := pa - qa
+		pb := mf * sx2l
+		qb := sxl * sxl
+		vb := pb - qb
+		var r float64
+		if va <= tiny+1e-10*(pa+qa) || vb <= tiny+1e-10*(pb+qb) {
+			r = 0
+		} else {
+			r = num / math.Sqrt(va*vb)
+			if r > 1 {
+				r = 1
+			} else if r < -1 {
+				r = -1
+			}
+		}
+		dev += math.Abs(r - bv[i])
+		acfv[i] = r
+	}
+	return dev
+}
+
 // HypotheticalACF evaluates the ACF the series would have after applying the
 // given contiguous change, without mutating the aggregates. The returned
 // slice aliases sc.acf and is valid until the next call with the same sc.
 // Unlike the textbook formulation, no aggregate state is copied anywhere:
-// each lag's delta accumulators are computed in registers and evaluated
-// directly against the live aggregates, which is bit-identical to
-// copy-then-update (both reduce to the same single addition per aggregate).
+// each lag's delta accumulators are evaluated directly against the live
+// aggregates, which is bit-identical to copy-then-update (both reduce to
+// the same single addition per aggregate).
+//
+// Dense lags on the interior path run the two stages of DeltaSums and
+// EvalSums (over the interior lag prefix when the change sits near a series
+// end); the remaining lags, and compact aggregates, fuse both stages per
+// lag.
 func (a *Aggregates) HypotheticalACF(cur []float64, start int, deltas []float64, sc *Scratch) []float64 {
 	n := a.N
 	m := len(deltas)
-	// Lags up to lFast take the fused interior path below; keep it in sync
-	// with lagDeltas's interior condition (l <= start && l <= n-start-m).
+	// Lags up to lFast take the interior path; keep it in sync with
+	// lagDeltas's interior condition (l <= start && l <= n-start-m).
 	lFast := min(start, n-start-m)
-	// On the interior path every delta is both a head and a tail member, so
-	// the dsx/dsxl and dsx2/dsx2l accumulators receive the same addend
-	// sequence for EVERY lag — sum them once here instead of per lag. Only
-	// the cross products remain lag-dependent.
-	var ds, dsq2 float64
-	if lFast >= 1 {
-		for j := 0; j < m; j++ {
-			d := deltas[j]
-			x := cur[start+j]
-			ds += d
-			dsq2 += d * (2*x + d) // (x+d)^2 - x^2
-		}
-	}
 	if a.lags == nil {
-		// Interior lags run pairwise, fused and fully inlined: per lag only
-		// the cross products dsxx are computed — a serial float-add chain,
-		// so pairing lags runs two independent chains through the shared
-		// j-loop (each lag's addend sequence is untouched, results stay
-		// bit-identical) — and the Eq. 2 correlation (the body of
-		// corrFromAggregates, replicated because a call per lag per
-		// candidate would dominate) is evaluated directly against the live
-		// aggregates, with the MAE deviation against sc.base accumulated in
-		// the same pass. Keep the arithmetic in sync with acf.go.
 		nFast := min(max(lFast, 0), len(a.sx))
-		acfv := sc.acf[:nFast]
-		sxv := a.sx[:nFast]
-		sxlv := a.sxl[:nFast]
-		sxxv := a.sxx[:nFast]
-		sx2v := a.sx2[:nFast]
-		sx2lv := a.sx2l[:nFast]
-		bv := sc.base[:nFast]
 		var dev float64
-		nf := float64(n)
-		if m == 1 && nFast > 0 {
-			// Single-point gap (a third of steady-state evaluations): the
-			// cross products collapse to two loads walking outward from the
-			// changed point; pairing still overlaps the sqrt/div units.
-			d := deltas[0]
-			i := 0
-			for ; i+1 < nFast; i += 2 {
-				la := i + 1
-				lb := i + 2
-				dsxxA := d*cur[start-la] + d*cur[start+la]
-				dsxxB := d*cur[start-lb] + d*cur[start+lb]
-				mfA := nf - float64(i+1)
-				sxA := sxv[i] + ds
-				sxlA := sxlv[i] + ds
-				sxxA := sxxv[i] + dsxxA
-				sx2A := sx2v[i] + dsq2
-				sx2lA := sx2lv[i] + dsq2
-				numA := mfA*sxxA - sxA*sxlA
-				paA := mfA * sx2A
-				qaA := sxA * sxA
-				vaA := paA - qaA
-				pbA := mfA * sx2lA
-				qbA := sxlA * sxlA
-				vbA := pbA - qbA
-				var rA float64
-				if vaA <= tiny+1e-10*(paA+qaA) || vbA <= tiny+1e-10*(pbA+qbA) {
-					rA = 0
-				} else {
-					rA = numA / math.Sqrt(vaA*vbA)
-					if rA > 1 {
-						rA = 1
-					} else if rA < -1 {
-						rA = -1
-					}
-				}
-				dev += math.Abs(rA - bv[i])
-				acfv[i] = rA
-
-				mfB := nf - float64(i+1+1)
-				sxB := sxv[i+1] + ds
-				sxlB := sxlv[i+1] + ds
-				sxxB := sxxv[i+1] + dsxxB
-				sx2B := sx2v[i+1] + dsq2
-				sx2lB := sx2lv[i+1] + dsq2
-				numB := mfB*sxxB - sxB*sxlB
-				paB := mfB * sx2B
-				qaB := sxB * sxB
-				vaB := paB - qaB
-				pbB := mfB * sx2lB
-				qbB := sxlB * sxlB
-				vbB := pbB - qbB
-				var rB float64
-				if vaB <= tiny+1e-10*(paB+qaB) || vbB <= tiny+1e-10*(pbB+qbB) {
-					rB = 0
-				} else {
-					rB = numB / math.Sqrt(vaB*vbB)
-					if rB > 1 {
-						rB = 1
-					} else if rB < -1 {
-						rB = -1
-					}
-				}
-				dev += math.Abs(rB - bv[i+1])
-				acfv[i+1] = rB
-
-			}
-			for ; i < nFast; i++ {
-				l := i + 1
-				dsxx := d*cur[start-l] + d*cur[start+l]
-				r := a.corrDelta(i, n-(i+1), ds, dsq2, dsxx)
-				dev += math.Abs(r - bv[i])
-				acfv[i] = r
-
-			}
-		} else {
-			i := 0
-			for ; i+1 < nFast; i += 2 {
-				la := i + 1
-				lb := i + 2
-				var dsxxA, dsxxB float64
-				p1a := max(m-la, 0)
-				p1b := max(m-lb, 0) // p1b <= p1a
-				// Shifted views: cmX[j] = cur[start+j-lX], cpX[j] =
-				// cur[start+j+lX], dpX[j] = deltas[j+lX]; in-range by the
-				// interior condition.
-				cmA := cur[start-la : start-la+m]
-				cpA := cur[start+la : start+la+m]
-				cmB := cur[start-lb : start-lb+m]
-				cpB := cur[start+lb : start+lb+m]
-				for j := 0; j < p1b; j++ {
-					d := deltas[j]
-					dsxxA += d * cmA[j]
-					dsxxA += d * cpA[j]
-					dsxxA += d * deltas[j+la]
-					dsxxB += d * cmB[j]
-					dsxxB += d * cpB[j]
-					dsxxB += d * deltas[j+lb]
-				}
-				for j := p1b; j < p1a; j++ { // at most one iteration
-					d := deltas[j]
-					dsxxA += d * cmA[j]
-					dsxxA += d * cpA[j]
-					dsxxA += d * deltas[j+la]
-					dsxxB += d * cmB[j]
-					dsxxB += d * cpB[j]
-				}
-				for j := p1a; j < m; j++ {
-					d := deltas[j]
-					dsxxA += d * cmA[j]
-					dsxxA += d * cpA[j]
-					dsxxB += d * cmB[j]
-					dsxxB += d * cpB[j]
-				}
-				mfA := nf - float64(i+1)
-				sxA := sxv[i] + ds
-				sxlA := sxlv[i] + ds
-				sxxA := sxxv[i] + dsxxA
-				sx2A := sx2v[i] + dsq2
-				sx2lA := sx2lv[i] + dsq2
-				numA := mfA*sxxA - sxA*sxlA
-				paA := mfA * sx2A
-				qaA := sxA * sxA
-				vaA := paA - qaA
-				pbA := mfA * sx2lA
-				qbA := sxlA * sxlA
-				vbA := pbA - qbA
-				var rA float64
-				if vaA <= tiny+1e-10*(paA+qaA) || vbA <= tiny+1e-10*(pbA+qbA) {
-					rA = 0
-				} else {
-					rA = numA / math.Sqrt(vaA*vbA)
-					if rA > 1 {
-						rA = 1
-					} else if rA < -1 {
-						rA = -1
-					}
-				}
-				dev += math.Abs(rA - bv[i])
-				acfv[i] = rA
-
-				mfB := nf - float64(i+1+1)
-				sxB := sxv[i+1] + ds
-				sxlB := sxlv[i+1] + ds
-				sxxB := sxxv[i+1] + dsxxB
-				sx2B := sx2v[i+1] + dsq2
-				sx2lB := sx2lv[i+1] + dsq2
-				numB := mfB*sxxB - sxB*sxlB
-				paB := mfB * sx2B
-				qaB := sxB * sxB
-				vaB := paB - qaB
-				pbB := mfB * sx2lB
-				qbB := sxlB * sxlB
-				vbB := pbB - qbB
-				var rB float64
-				if vaB <= tiny+1e-10*(paB+qaB) || vbB <= tiny+1e-10*(pbB+qbB) {
-					rB = 0
-				} else {
-					rB = numB / math.Sqrt(vaB*vbB)
-					if rB > 1 {
-						rB = 1
-					} else if rB < -1 {
-						rB = -1
-					}
-				}
-				dev += math.Abs(rB - bv[i+1])
-				acfv[i+1] = rB
-
-			}
-			for ; i < nFast; i++ {
-				l := i + 1
-				var dsxx float64
-				p1 := max(m-l, 0)
-				for j := 0; j < p1; j++ {
-					d := deltas[j]
-					k := start + j
-					dsxx += d * cur[k-l]
-					dsxx += d * cur[k+l]
-					dsxx += d * deltas[j+l]
-				}
-				for j := p1; j < m; j++ {
-					d := deltas[j]
-					k := start + j
-					dsxx += d * cur[k-l]
-					dsxx += d * cur[k+l]
-				}
-				r := a.corrDelta(i, n-(i+1), ds, dsq2, dsxx)
-				dev += math.Abs(r - bv[i])
-				acfv[i] = r
-
-			}
+		if nFast > 0 {
+			sums := sc.sums[:2+nFast]
+			sums[0], sums[1] = gapSums(cur, start, deltas)
+			crossSums(cur, start, deltas, sums[2:])
+			dev = a.evalSums(sums, sc)
 		}
 		for i := nFast; i < len(a.sx); i++ {
 			l := i + 1
@@ -621,6 +588,10 @@ func (a *Aggregates) HypotheticalACF(cur []float64, start int, deltas []float64,
 		}
 		sc.dev = dev
 		return sc.acf
+	}
+	var ds, dsq2 float64
+	if lFast >= 1 {
+		ds, dsq2 = gapSums(cur, start, deltas)
 	}
 	var dev float64
 	for i, l32 := range a.lags {

@@ -239,3 +239,59 @@ func TestZeroAllocHypothetical(t *testing.T) {
 		t.Fatalf("boundary HypotheticalACF allocates %v per run, want 0", n)
 	}
 }
+
+// TestDeltaSumsReuseMatchesHypothetical pins the two-stage split the core
+// engine memoizes: for interior changes, DeltaSums followed by EvalSums is
+// bit-identical to HypotheticalACF (output and deviation), and sums kept
+// from before a commit elsewhere in the series still evaluate exactly as a
+// fresh HypotheticalACF against the evolved aggregates, as long as no value
+// within L of the change moved. Interior rejects compact aggregates and
+// changes within L of either end.
+func TestDeltaSumsReuseMatchesHypothetical(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n, L = 600, 24
+	xs := seasonal(n, 24, 0.5, 3)
+	agg := NewAggregates(xs, L)
+	base := agg.ACF()
+	sc, sc2 := NewScratch(L), NewScratch(L)
+	sc.SetBase(base)
+	sc2.SetBase(base)
+	cur := append([]float64(nil), xs...)
+	sums := make([]float64, L+2)
+	for trial := 0; trial < 200; trial++ {
+		m := 1 + rng.Intn(40)
+		start := L + rng.Intn(n-2*L-m+1)
+		if !agg.Interior(start, m) {
+			t.Fatalf("start=%d m=%d: interior change rejected", start, m)
+		}
+		deltas := make([]float64, m)
+		for i := range deltas {
+			deltas[i] = rng.NormFloat64()
+		}
+		agg.DeltaSums(cur, start, deltas, sums)
+		// Commit a change that stays more than L away from this one, so
+		// the kept sums remain valid while the aggregates move.
+		far := (start + m + L + rng.Intn(n)) % n
+		if far+3 > n || (far+3+L > start && far < start+m+L) {
+			far = -1
+		}
+		if far >= 0 {
+			fd := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+			agg.Apply(cur, far, fd)
+			for i, d := range fd {
+				cur[far+i] += d
+			}
+		}
+		got := append([]float64(nil), agg.EvalSums(sums, sc)...)
+		want := agg.HypotheticalACF(cur, start, deltas, sc2)
+		if !bitsEqual(got, want) || math.Float64bits(sc.DevSum()) != math.Float64bits(sc2.DevSum()) {
+			t.Fatalf("trial %d (start=%d m=%d far=%d): two-stage evaluation diverges from HypotheticalACF", trial, start, m, far)
+		}
+	}
+	if agg.Interior(L-1, 3) || agg.Interior(n-L-2, 3) {
+		t.Fatal("Interior accepted a change within L of a series end")
+	}
+	if NewAggregatesLags(xs, []int{1, 12, 24}).Interior(300, 3) {
+		t.Fatal("Interior accepted compact aggregates")
+	}
+}

@@ -62,6 +62,11 @@ func (d *DirectTracker) Hypothetical(cur []float64, start int, deltas []float64,
 	return d.agg.HypotheticalACF(cur, start, deltas, sc)
 }
 
+// Aggregates returns the tracked aggregates, for callers that run the
+// two evaluation stages (Aggregates.DeltaSums, Aggregates.EvalSums)
+// themselves. They must not be mutated except through Commit.
+func (d *DirectTracker) Aggregates() *Aggregates { return d.agg }
+
 // Commit applies the change.
 func (d *DirectTracker) Commit(cur []float64, start int, deltas []float64) {
 	d.agg.Apply(cur, start, deltas)

@@ -57,6 +57,9 @@ type evalCtx struct {
 	pacf    []float64 // Durbin-Levinson scratch (StatPACF only)
 	phiPrev []float64
 	phiCur  []float64
+
+	evals    int // impact evaluations run on this context
+	memoHits int // of which served from the delta-sum memo
 }
 
 // parTask assigns one chunk of the shared point list to eval worker w.
@@ -80,6 +83,12 @@ type engine struct {
 	tracker acf.Tracker
 	base    []float64 // base feature vector S(X)
 	heap    *pheap.Heap
+
+	// direct holds the aggregates of a dense DirectTracker, whose
+	// interior evaluations split into a memoizable delta stage and an
+	// evaluation stage; nil otherwise (the memo is then off).
+	direct *acf.Aggregates
+	memo   deltaMemo
 
 	// Lag-subset projection (Options.LagSubset, §5.5). For StatACF the
 	// tracker itself is compact (it maintains only the selected lags) and
@@ -239,6 +248,14 @@ func (e *engine) installTracker(tr acf.Tracker) {
 		}
 	}
 
+	e.direct = nil
+	if d, ok := tr.(*acf.DirectTracker); ok && e.compactLags == nil {
+		e.memo.arm(d.Lags(), len(e.ctxs) > 1)
+		if e.memo.on() {
+			e.direct = d.Aggregates()
+		}
+	}
+
 	e.acfBuf = grow(e.acfBuf, e.tracker.Lags())
 	e.tracker.ACFInto(e.acfBuf)
 	e.base = append(e.base[:0], e.feature(e.acfBuf, e.ctxs[0])...)
@@ -386,9 +403,38 @@ func (e *engine) gapDeltas(p int32, ctx *evalCtx) (int, []float64) {
 // the bound against the raw ACF P_L, so impacts are absolute deviations,
 // not marginal changes). Steady-state evaluations perform no heap
 // allocation.
+//
+// A dense interior candidate goes through the delta-sum memo (see
+// deltaMemo): a valid entry skips gap interpolation and the O(L*m) delta
+// stage, leaving the O(L) evaluation stage against the live aggregates; a
+// miss computes the sums into p's slot first. Either way the result is
+// bit-identical to the tracker's Hypothetical. Candidates within L of a
+// series end, and compact or windowed trackers, take Hypothetical.
 func (e *engine) impact(p int32, ctx *evalCtx) float64 {
-	start, d := e.gapDeltas(p, ctx)
-	hyp := e.tracker.Hypothetical(e.cur, start, d, ctx.sc)
+	return e.evalImpact(p, ctx, true)
+}
+
+// evalImpact is impact; useMemo false keeps the evaluation off the memo
+// (a parallel batch point that does not own its slot).
+func (e *engine) evalImpact(p int32, ctx *evalCtx, useMemo bool) float64 {
+	ctx.evals++
+	var hyp []float64
+	l, r := e.left[p], e.right[p]
+	if useMemo && e.direct != nil && e.direct.Interior(int(l)+1, int(r-l)-1) {
+		s := p & e.memo.mask
+		sums := e.memo.entry(s)
+		if e.memo.tag[s] == p {
+			ctx.memoHits++
+		} else {
+			start, d := e.gapDeltas(p, ctx)
+			e.direct.DeltaSums(e.cur, start, d, sums)
+			e.memo.tag[s] = p
+		}
+		hyp = e.direct.EvalSums(sums, ctx.sc)
+	} else {
+		start, d := e.gapDeltas(p, ctx)
+		hyp = e.tracker.Hypothetical(e.cur, start, d, ctx.sc)
+	}
 	var v float64
 	if e.fastMAE {
 		// The kernel accumulated sum |hyp_i - base_i| while evaluating;
@@ -467,6 +513,9 @@ func (e *engine) remove(p int32, exactDev float64) {
 	e.removed[p] = true
 	e.removedCnt++
 	e.dev = exactDev
+	if e.direct != nil {
+		e.invalidate(l, r)
+	}
 	e.reHeap(p)
 }
 
@@ -516,6 +565,9 @@ func (e *engine) impactInto(points []int32, keys []float64) {
 		return
 	}
 	e.parPoints, e.parKeys = points, keys
+	if e.direct != nil {
+		e.memo.claimBatch(points)
+	}
 	chunk := (len(points) + t - 1) / t
 	for w := 1; w < t; w++ {
 		lo := w * chunk
@@ -527,7 +579,7 @@ func (e *engine) impactInto(points []int32, keys []float64) {
 	}
 	ctx := e.ctxs[0]
 	for i := 0; i < min(chunk, len(points)); i++ {
-		keys[i] = e.impact(points[i], ctx)
+		keys[i] = e.evalImpact(points[i], ctx, e.direct == nil || e.memo.owns(points, i))
 	}
 	e.parWG.Wait()
 }
@@ -546,7 +598,7 @@ func (e *engine) evalWorker() {
 		points, keys := e.parPoints, e.parKeys
 		ctx := e.ctxs[t.w]
 		for i := t.lo; i < t.hi; i++ {
-			keys[i] = e.impact(points[i], ctx)
+			keys[i] = e.evalImpact(points[i], ctx, e.direct == nil || e.memo.owns(points, i))
 		}
 		e.parWG.Done()
 	}

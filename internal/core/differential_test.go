@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/acf"
+	"repro/internal/datasets"
 	"repro/internal/pheap"
 	"repro/internal/series"
 	"repro/internal/stats"
@@ -259,6 +261,79 @@ func TestOptimizedMatchesReference(t *testing.T) {
 			}
 		}
 	}
+
+	// Delta-sum memo shapes on store-sized blocks of the group-1 replicas
+	// (the reference recomputes every evaluation): the store's default
+	// options, and a blocking neighbourhood narrower than the lag window,
+	// so invalidation cannot lean on the re-heap set. The streaming engine
+	// runs each block in single-unit Advance slices, so every slice ends
+	// right after a removal's re-heap and the memo outlives the call.
+	for i, xs := range storeBlocks() {
+		for _, cfg := range []struct {
+			name string
+			opt  Options
+		}{
+			{"store", Options{Lags: 24, Epsilon: 0.01}},
+			{"hops2", Options{Lags: 24, Epsilon: 0.01, BlockHops: 2}},
+		} {
+			label := fmt.Sprintf("replica%d/%s", i, cfg.name)
+			want := referenceCompress(xs, cfg.opt)
+			got, err := Compress(xs, cfg.opt)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			matchBits(t, label, got, want)
+			se, err := NewStreamEngine(cfg.opt)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if err := se.Begin(xs); err != nil {
+				t.Fatalf("%s: Begin: %v", label, err)
+			}
+			for {
+				if _, done := se.Advance(1); done {
+					break
+				}
+			}
+			matchBits(t, label+"/stream-q1", se.Result(), want)
+			se.Close()
+		}
+	}
+}
+
+// storeBlocks returns one 4096-sample block of each group-1 dataset
+// replica: the store's default CAMEO block shape (n=4096, L=24).
+func storeBlocks() [][]float64 {
+	specs := []datasets.Spec{datasets.ElecPower(), datasets.MinTemp(), datasets.Pedestrian(), datasets.UKElecDem()}
+	out := make([][]float64, len(specs))
+	for i, s := range specs {
+		out[i] = s.GenerateN(4096, 7919+int64(i))
+	}
+	return out
+}
+
+// matchBits fails unless got retains exactly want's points with the same
+// counters and the same deviation, compared bit for bit.
+func matchBits(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if got.Removed != want.Removed || got.Iterations != want.Iterations {
+		t.Fatalf("%s: removed/iterations %d/%d, want %d/%d",
+			label, got.Removed, got.Iterations, want.Removed, want.Iterations)
+	}
+	if math.Float64bits(got.Deviation) != math.Float64bits(want.Deviation) {
+		t.Fatalf("%s: deviation %x, want %x",
+			label, math.Float64bits(got.Deviation), math.Float64bits(want.Deviation))
+	}
+	if len(got.Compressed.Points) != len(want.Compressed.Points) {
+		t.Fatalf("%s: %d points, want %d", label, len(got.Compressed.Points), len(want.Compressed.Points))
+	}
+	for i, p := range got.Compressed.Points {
+		q := want.Compressed.Points[i]
+		if p.Index != q.Index || math.Float64bits(p.Value) != math.Float64bits(q.Value) {
+			t.Fatalf("%s: point %d = (%d,%x), want (%d,%x)",
+				label, i, p.Index, math.Float64bits(p.Value), q.Index, math.Float64bits(q.Value))
+		}
+	}
 }
 
 // TestCompressorMatchesCompress proves engine pooling is observation-free:
@@ -316,6 +391,26 @@ func TestThreadedMatchesSerial(t *testing.T) {
 			t.Fatalf("point %d differs", i)
 		}
 	}
+
+	// Store-sized blocks: re-heap batches are split across workers that
+	// share one delta-sum memo, and with 4096 points per block slots
+	// collide within a batch (run under -race to check that no two
+	// workers ever touch one entry).
+	for i, xs := range storeBlocks() {
+		opt := Options{Lags: 24, Epsilon: 0.01}
+		want, err := Compress(xs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, threads := range []int{2, 4} {
+			opt.Threads = threads
+			got, err := Compress(xs, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchBits(t, fmt.Sprintf("replica%d/threads%d", i, threads), got, want)
+		}
+	}
 }
 
 // TestImpactEvalZeroAllocs locks in the headline property: steady-state
@@ -345,5 +440,73 @@ func TestImpactEvalZeroAllocs(t *testing.T) {
 				t.Fatalf("impact allocates %v per run, want 0", n)
 			}
 		})
+	}
+	t.Run("acf-direct-memo-hit", func(t *testing.T) {
+		xs := diffSeries("seasonal", 2000, 9)
+		eng := newEngine(xs, Options{Lags: 24, Epsilon: 0.01})
+		defer eng.close()
+		ctx := eng.ctxs[0]
+		eng.run(stopConditions{epsilon: 0.01, maxRemovals: 300})
+		p := eng.right[1000] // an alive interior candidate
+		eng.impact(p, ctx)
+		hits := ctx.memoHits
+		if n := testing.AllocsPerRun(100, func() {
+			eng.impact(p, ctx)
+		}); n != 0 {
+			t.Fatalf("memo-hit impact allocates %v per run, want 0", n)
+		}
+		if got := ctx.memoHits - hits; got != 101 {
+			t.Fatalf("%d of 101 repeated evaluations hit the memo", got)
+		}
+	})
+}
+
+// TestDeltaMemoHitShare pins the memo's effectiveness: on a store-shaped
+// seasonal block, a sizable share of the evaluations after the initial
+// impacts (re-heap neighbours and revalidation pops) must be served from
+// the memo, so a change that silently turns it into always-miss fails
+// here. The share is 0.38 at the 512-slot L=24 capacity; an unbounded
+// memo would reach about 0.75, the rest being candidates whose gap or
+// lag window did change.
+func TestDeltaMemoHitShare(t *testing.T) {
+	xs := diffSeries("seasonal", 4096, 1)
+	opt := Options{Lags: 24, Epsilon: 0.01}
+	eng := newEngine(xs, opt)
+	defer eng.close()
+	ctx := eng.ctxs[0]
+	initial := ctx.evals
+	eng.run(stopConditions{epsilon: opt.Epsilon})
+	evals := ctx.evals - initial
+	share := float64(ctx.memoHits) / float64(evals)
+	t.Logf("%d of %d evaluations after the initial impacts hit the memo (%.3f)", ctx.memoHits, evals, share)
+	if share < 1.0/3 {
+		t.Fatalf("memo hit share %.3f, want >= 1/3", share)
+	}
+}
+
+// TestDeltaMemoBudget pins the memo footprint: whatever the lag count, its
+// slot arrays fit memoBudget (128 KiB), and at the store's L=24 it holds
+// 512 entries. A lag count too large for even one entry turns it off.
+func TestDeltaMemoBudget(t *testing.T) {
+	if memoBudget > 128<<10 {
+		t.Fatalf("memoBudget %d exceeds 128 KiB", memoBudget)
+	}
+	for _, L := range []int{1, 8, 24, 48, 200, 8000, 20000} {
+		slots := memoSlots(L)
+		if bytes := slots * ((L+2)*8 + 8); bytes > memoBudget {
+			t.Fatalf("L=%d: %d slots take %d bytes, over the %d budget", L, slots, bytes, memoBudget)
+		}
+	}
+	if got := memoSlots(24); got != 512 {
+		t.Fatalf("memoSlots(24) = %d, want 512", got)
+	}
+	if got := memoSlots(20000); got != 0 {
+		t.Fatalf("memoSlots(20000) = %d, want 0 (memo off)", got)
+	}
+	xs := diffSeries("seasonal", 300, 2)
+	eng := newEngine(xs, Options{Lags: 70, Epsilon: 0.05})
+	defer eng.close()
+	if eng.direct == nil {
+		t.Fatal("dense direct tracker without a memo")
 	}
 }

@@ -636,6 +636,7 @@ scan:
 		}
 		st.tail = ir.Decompress()
 		st.addTailStamp(tf.start)
+		st.tailClean = true
 	}
 	if legacyTail != "" {
 		// The original engine stored the tail as "tail.raw" with no start
@@ -656,6 +657,7 @@ scan:
 				return nil, err
 			}
 			st.addTailStamp(st.assigned)
+			st.tailClean = true
 		}
 		if err := os.Remove(legacyTail); err != nil {
 			return nil, err
@@ -898,13 +900,19 @@ func (db *DB) flushTailLocked(sh *shard, name string, st *seriesState) error {
 		st.insertBlock(meta)
 		st.assigned += meta.n
 		st.tail = st.tail[:0]
+		st.tailClean = false
 		sh.cache.put(meta.key(), recon)
+	case st.tailClean:
+		// The tail file stamped at assigned already holds exactly these
+		// samples (nothing appended or cut since it was written or
+		// recovered): rewriting and fsyncing it would change nothing.
 	default:
 		ir := series.FromDense(st.tail)
 		if err := atomicWrite(db.tailPath(name, st.assigned), ir.Encode()); err != nil {
 			return err
 		}
 		st.addTailStamp(st.assigned)
+		st.tailClean = true
 	}
 	db.pruneTailStampsLocked(name, st)
 	return nil

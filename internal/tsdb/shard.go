@@ -54,6 +54,7 @@ type seriesState struct {
 	pending    map[int]*pendingBlock // cut blocks still compressing, by start
 	tail       []float64             // samples not yet cut into a block
 	tailStamps []int                 // start stamps of on-disk tail files
+	tailClean  bool                  // the tail file stamped at assigned holds exactly tail
 	base       int                   // first retained sample index (older ones trimmed by retention)
 	assigned   int                   // samples cut into blocks (durable + pending), counted from 0
 	total      int                   // assigned + len(tail)
@@ -114,6 +115,7 @@ func (db *DB) sliceBlockLocked(st *seriesState) *pendingBlock {
 	st.tail = append(st.tail[:0], st.tail[db.opt.BlockSize:]...)
 	pb := &pendingBlock{start: st.assigned, raw: block, done: make(chan struct{})}
 	st.assigned += len(block)
+	st.tailClean = false
 	st.pending[pb.start] = pb
 	return pb
 }
@@ -180,6 +182,7 @@ func (db *DB) appendSamples(name string, values []float64) error {
 	}
 	st.tail = append(st.tail, values...)
 	st.total += len(values)
+	st.tailClean = false
 	if st.stream != nil {
 		// Streaming mode: cuts and compression happen in streamDrain, off
 		// the shard lock, behind the per-series stream token. Skip the
@@ -216,6 +219,7 @@ func (db *DB) appendSamples(name string, values []float64) error {
 			st.insertBlock(meta)
 			st.assigned += meta.n
 			st.tail = append(st.tail[:0], st.tail[db.opt.BlockSize:]...)
+			st.tailClean = false
 			sh.cache.put(meta.key(), recon)
 			continue
 		}

@@ -215,6 +215,90 @@ func TestFlushKeepsShortTailVerbatim(t *testing.T) {
 	}
 }
 
+// TestFlushSkipsUnchangedTail: a Flush with no Append since the previous
+// one leaves the verbatim tail file alone (same inode: atomicWrite would
+// have renamed a new file over it), an Append makes the next Flush rewrite
+// it, and a reopen recovers the samples either way.
+func TestFlushSkipsUnchangedTail(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, dbOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := sensorData(512+20, 8) // one full block plus a short tail
+	if err := db.Append("z", data[:512+10]...); err != nil {
+		t.Fatal(err)
+	}
+	tailStat := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(db.tailPath("z", 512))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	first := tailStat()
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(first, tailStat()) {
+		t.Fatal("second Flush without an Append rewrote the tail file")
+	}
+	if err := db.Append("z", data[512+10:]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	second := tailStat()
+	if os.SameFile(first, second) {
+		t.Fatal("Flush after an Append did not rewrite the tail file")
+	}
+	want, err := db.Query("z", 0, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(dir, dbOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	// A recovered tail is clean too: flushing it again writes nothing.
+	if err := db2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(db2.tailPath("z", 512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(second, fi) {
+		t.Fatal("Flush after reopen rewrote the recovered tail file")
+	}
+	got, err := db2.Query("z", 0, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("reopened store has %d samples, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("sample %d = %v after reopen, want %v", i, got[i], want[i])
+		}
+	}
+	for i := 512; i < len(data); i++ {
+		if got[i] != data[i] {
+			t.Fatalf("tail sample %d = %v, want verbatim %v", i, got[i], data[i])
+		}
+	}
+}
+
 func TestMultipleSeries(t *testing.T) {
 	db, err := Open(t.TempDir(), dbOptions())
 	if err != nil {
